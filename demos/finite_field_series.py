@@ -17,7 +17,6 @@ from implicitseries import (
     PositiveCharacteristicError,
     PrimeField,
     SolveMethod,
-    coeff_extraction_char0,
     solve_series,
 )
 
@@ -41,7 +40,7 @@ for method in (SolveMethod.FIXED_POINT, SolveMethod.FURSTENBERG):
 
 print("\nthe 1/m-weighted variant refuses to run in characteristic 2:")
 try:
-    coeff_extraction_char0(problem, 4)
+    solve_series(problem, 4, SolveMethod.CHAR0)
 except PositiveCharacteristicError as exc:
     print(f"  PositiveCharacteristicError: {exc}")
 

@@ -50,16 +50,12 @@ from .solver import (
     RootProblem,
     SolveMethod,
     SolveReport,
-    coeff_extraction,
-    coeff_extraction_char0,
-    extraction_tail,
     factor_out_root,
     furstenberg_solve,
     lagrange_coefficient,
     solve_fixed_point,
     solve_series,
     taylor_residual,
-    validate_problem,
 )
 
 __version__ = "1.0.0"
@@ -93,9 +89,6 @@ __all__ = [
     "UniSeries",
     "ZeroConstantTermError",
     "ZeroLinearYTermError",
-    "coeff_extraction",
-    "coeff_extraction_char0",
-    "extraction_tail",
     "factor_out_root",
     "format_biseries",
     "furstenberg_solve",
@@ -106,5 +99,4 @@ __all__ = [
     "solve_fixed_point",
     "solve_series",
     "taylor_residual",
-    "validate_problem",
 ]

@@ -24,7 +24,13 @@ import json
 import sys
 
 from .errors import ExpressionSyntaxError, ImplicitSeriesError
-from .expressions import lower_expression, lower_univariate, parse_expression
+from .expressions import (
+    Mul,
+    Variable,
+    lower_expression,
+    lower_univariate,
+    parse_expression,
+)
 from .fields import Field, PrimeField, RationalField
 from .series import BiSeries, UniSeries
 from .solver import (
@@ -32,6 +38,7 @@ from .solver import (
     LagrangeVariant,
     RootProblem,
     SolveMethod,
+    _implicit_residual_zero,
     factor_out_root,
     furstenberg_solve,
     lagrange_coefficient,
@@ -70,8 +77,9 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _emit(args, record: dict, plain_lines) -> int:
+def _emit(args, method: str, field: Field, order, plain_lines, **body) -> int:
     if args.output == "json":
+        record = {"method": method, "field": field.tag, "order": order, **body}
         print(json.dumps(record))
     else:
         for line in plain_lines:
@@ -99,29 +107,28 @@ def _grid_lines(rows, prefix="") -> list:
     ]
 
 
-def _solve_box(order: int):
+def _lower(args, text: str, nx: int, ny: int):
+    """Make the field, parse ``text`` and lower it on the box (nx, ny)."""
+    field = make_field(args.field)
+    return field, lower_expression(parse_expression(text, field), field, nx, ny)
+
+
+def _implicit_problem(args):
     # wide enough in Y that every term able to influence coefficients
     # through `order` survives lowering, and the linear-Y validation
     # always has a column to inspect
-    return order, max(1, 2 * order - 1)
+    field, p = _lower(args, args.poly, args.order, max(1, 2 * args.order - 1))
+    return field, ImplicitProblem(p)
 
 
 def cmd_solve(args) -> int:
-    field = make_field(args.field)
-    node = parse_expression(args.poly, field)
-    nx, ny = _solve_box(args.order)
-    p = lower_expression(node, field, nx, ny)
-    prob = ImplicitProblem(p)
+    field, prob = _implicit_problem(args)
     report = solve_series(prob, args.order, SolveMethod(args.method))
     coeffs = _series_strings(report.solution)
-    record = {
-        "method": report.method.value,
-        "field": field.tag,
-        "order": args.order,
-        "coeffs": coeffs,
-        "residual_zero": report.residual_zero,
-    }
-    return _emit(args, record, _coeff_lines(coeffs))
+    return _emit(
+        args, report.method.value, field, args.order, _coeff_lines(coeffs),
+        coeffs=coeffs, residual_zero=report.residual_zero,
+    )
 
 
 def cmd_lagrange(args) -> int:
@@ -133,68 +140,39 @@ def cmd_lagrange(args) -> int:
     values = [lagrange_coefficient(phi, k, variant) for k in range(1, n + 1)]
     f = UniSeries(field, [0] + values)
     # f solves f = P(X, f) for P = X * phi(Y); re-substitute to check
-    p = BiSeries.from_terms(
-        field,
-        [(1, j, c) for j, c in enumerate(phi._c)],
-        n,
-        max(1, n),
-    )
-    work = p.resized(n, min(p.y_order, n))
+    p = lower_expression(Mul(Variable("X"), node), field, n, phi.order)
+    residual_zero = _implicit_residual_zero(ImplicitProblem(p), f)
     coeffs = _series_strings(f)
-    record = {
-        "method": f"lagrange-{variant.value}",
-        "field": field.tag,
-        "order": n,
-        "coeffs": coeffs,
-        "residual_zero": work.subst_y(f) == f,
-    }
-    return _emit(args, record, _coeff_lines(coeffs))
+    return _emit(
+        args, f"lagrange-{variant.value}", field, n, _coeff_lines(coeffs),
+        coeffs=coeffs, residual_zero=residual_zero,
+    )
 
 
 def cmd_hasse(args) -> int:
-    field = make_field(args.field)
-    node = parse_expression(args.poly, field)
-    nx, ny = args.box
-    p = lower_expression(node, field, nx, ny)
+    field, p = _lower(args, args.poly, *args.box)
     h = p.hasse_derivative(args.m)
     grid = _grid_strings(h)
-    record = {
-        "method": "hasse",
-        "field": field.tag,
-        "order": [h.x_order, h.y_order],
-        "coeffs": grid,
-    }
-    return _emit(args, record, _grid_lines(grid))
+    return _emit(
+        args, "hasse", field, [h.x_order, h.y_order], _grid_lines(grid), coeffs=grid
+    )
 
 
 def cmd_factor(args) -> int:
-    field = make_field(args.field)
-    node = parse_expression(args.poly, field)
     n = args.order
-    q = lower_expression(node, field, n, max(n, 1))
+    field, q = _lower(args, args.poly, n, max(n, 1))
     rp = RootProblem(q)
     f = furstenberg_solve(rp, n)
     r = factor_out_root(rp, f)
     fs = _series_strings(f)
     rs = _grid_strings(r)
-    record = {
-        "method": "factor",
-        "field": field.tag,
-        "order": n,
-        "f": fs,
-        "r": rs,
-    }
     lines = [f"f {n}: {c}" for n, c in enumerate(fs)]
     lines.extend(_grid_lines(rs, prefix="R "))
-    return _emit(args, record, lines)
+    return _emit(args, "factor", field, n, lines, f=fs, r=rs)
 
 
 def cmd_verify(args) -> int:
-    field = make_field(args.field)
-    node = parse_expression(args.poly, field)
-    nx, ny = _solve_box(args.order)
-    p = lower_expression(node, field, nx, ny)
-    prob = ImplicitProblem(p)
+    field, prob = _implicit_problem(args)
     methods = [SolveMethod.THEOREM, SolveMethod.FIXED_POINT, SolveMethod.FURSTENBERG]
     if not field.characteristic:
         methods.insert(1, SolveMethod.CHAR0)
@@ -207,38 +185,22 @@ def cmd_verify(args) -> int:
         return 1
     coeffs = _series_strings(baseline)
     names = [m.value for m in methods]
-    record = {
-        "method": "verify",
-        "field": field.tag,
-        "order": args.order,
-        "methods": names,
-        "agree": True,
-        "residual_zero": True,
-        "coeffs": coeffs,
-    }
     lines = [
         "methods: " + " ".join(names),
         "agree: true",
         "residual_zero: true",
     ]
     lines.extend(_coeff_lines(coeffs))
-    return _emit(args, record, lines)
+    return _emit(
+        args, "verify", field, args.order, lines,
+        methods=names, agree=True, residual_zero=True, coeffs=coeffs,
+    )
 
 
 def cmd_diag(args) -> int:
-    field = make_field(args.field)
-    node = parse_expression(args.poly, field)
-    n = args.order
-    p = lower_expression(node, field, n, n)
-    d = p.diagonal()
-    coeffs = _series_strings(d)
-    record = {
-        "method": "diag",
-        "field": field.tag,
-        "order": n,
-        "coeffs": coeffs,
-    }
-    return _emit(args, record, _coeff_lines(coeffs))
+    field, p = _lower(args, args.poly, args.order, args.order)
+    coeffs = _series_strings(p.diagonal())
+    return _emit(args, "diag", field, args.order, _coeff_lines(coeffs), coeffs=coeffs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,17 +222,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser(
-        "solve", parents=[common], help="solve f = P(X, f(X))"
-    )
-    p_solve.add_argument("--poly", required=True, help="P as an expression in X, Y")
-    p_solve.add_argument("--order", required=True, type=_nonnegative)
+    def poly_command(name, func, help_text, poly_help="P as an expression in X, Y"):
+        cmd = sub.add_parser(name, parents=[common], help=help_text)
+        cmd.add_argument("--poly", required=True, help=poly_help)
+        cmd.add_argument("--order", required=True, type=_nonnegative)
+        cmd.set_defaults(func=func)
+        return cmd
+
+    p_solve = poly_command("solve", cmd_solve, "solve f = P(X, f(X))")
     p_solve.add_argument(
         "--method",
         choices=[m.value for m in SolveMethod],
         default=SolveMethod.THEOREM.value,
     )
-    p_solve.set_defaults(func=cmd_solve)
 
     p_lag = sub.add_parser(
         "lagrange", parents=[common], help="solve f = X * phi(f)"
@@ -297,26 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_hasse.add_argument("--m", required=True, type=_nonnegative)
     p_hasse.set_defaults(func=cmd_hasse)
 
-    p_factor = sub.add_parser(
-        "factor", parents=[common], help="split Q = (Y - f) * R at its root"
+    poly_command(
+        "factor", cmd_factor, "split Q = (Y - f) * R at its root",
+        "Q as an expression in X, Y",
     )
-    p_factor.add_argument("--poly", required=True, help="Q as an expression in X, Y")
-    p_factor.add_argument("--order", required=True, type=_nonnegative)
-    p_factor.set_defaults(func=cmd_factor)
-
-    p_verify = sub.add_parser(
-        "verify", parents=[common], help="cross-check every solve method"
-    )
-    p_verify.add_argument("--poly", required=True, help="P as an expression in X, Y")
-    p_verify.add_argument("--order", required=True, type=_nonnegative)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_diag = sub.add_parser(
-        "diag", parents=[common], help="main diagonal of a series"
-    )
-    p_diag.add_argument("--poly", required=True, help="expression in X, Y")
-    p_diag.add_argument("--order", required=True, type=_nonnegative)
-    p_diag.set_defaults(func=cmd_diag)
+    poly_command("verify", cmd_verify, "cross-check every solve method")
+    poly_command("diag", cmd_diag, "main diagonal of a series", "expression in X, Y")
     return parser
 
 

@@ -210,21 +210,18 @@ class _Parser:
         self.fail("a number, 'X', 'Y', or '('", tok)
 
 
-def _validate_literals(node, field: Field) -> None:
-    if isinstance(node, RationalLiteral):
-        try:
-            field.from_rational(node.numerator, node.denominator)
-        except LiteralNotInFieldError as exc:
-            raise LiteralNotInFieldError(
-                f"{exc} (byte offset {node.offset})"
-            ) from None
-    elif isinstance(node, Negate):
-        _validate_literals(node.operand, field)
-    elif isinstance(node, (Add, Sub, Mul)):
-        _validate_literals(node.left, field)
-        _validate_literals(node.right, field)
-    elif isinstance(node, Power):
-        _validate_literals(node.base, field)
+def _nodes(tree):
+    """Every node of ``tree`` in pre-order, left operands first."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Negate):
+            stack.append(node.operand)
+        elif isinstance(node, (Add, Sub, Mul)):
+            stack.extend((node.right, node.left))
+        elif isinstance(node, Power):
+            stack.append(node.base)
 
 
 def parse_expression(text: str, field: Field):
@@ -238,7 +235,14 @@ def parse_expression(text: str, field: Field):
     trailing = parser.peek()
     if trailing[0] != "end":
         parser.fail("end of input", trailing)
-    _validate_literals(node, field)
+    for sub_node in _nodes(node):
+        if isinstance(sub_node, RationalLiteral):
+            try:
+                field.from_rational(sub_node.numerator, sub_node.denominator)
+            except LiteralNotInFieldError as exc:
+                raise LiteralNotInFieldError(
+                    f"{exc} (byte offset {sub_node.offset})"
+                ) from None
     return node
 
 
@@ -277,21 +281,6 @@ def lower_expression(node, field: Field, x_order: int, y_order: int) -> BiSeries
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _reject_variable(node, name: str) -> None:
-    if isinstance(node, Variable) and node.name == name:
-        raise UnexpectedVariableError(
-            f"variable {name} is not allowed in a one-variable expression in "
-            f"{'Y' if name == 'X' else 'X'}"
-        )
-    if isinstance(node, Negate):
-        _reject_variable(node.operand, name)
-    elif isinstance(node, (Add, Sub, Mul)):
-        _reject_variable(node.left, name)
-        _reject_variable(node.right, name)
-    elif isinstance(node, Power):
-        _reject_variable(node.base, name)
-
-
 def lower_univariate(node, field: Field, order: int) -> UniSeries:
     """Evaluate a syntax tree in Y alone to a one-variable series.
 
@@ -299,7 +288,10 @@ def lower_univariate(node, field: Field, order: int) -> UniSeries:
     the result is the series in the single remaining variable, truncated
     at ``order``.
     """
-    _reject_variable(node, "X")
+    if Variable("X") in _nodes(node):
+        raise UnexpectedVariableError(
+            "variable X is not allowed in a one-variable expression in Y"
+        )
     grid = lower_expression(node, field, 0, order)
     return UniSeries._raw(field, list(grid._rows[0]))
 

@@ -53,15 +53,12 @@ class Field:
     Subclasses provide the raw-payload protocol used throughout the
     series layer: ``normalize`` (canonicalize after accumulation),
     ``coerce`` (accept ints, fractions and same-field elements),
-    ``negate``, ``invert``, ``divide``, ``from_int`` and
-    ``from_rational``.  ``zero`` and ``one`` are the raw constants and
-    are plain ints for both fields.
+    ``invert``, ``divide`` and ``from_rational``.  The raw zero and one
+    are the plain ints 0 and 1 for both fields.
     """
 
     __slots__ = ()
 
-    zero = 0
-    one = 1
     characteristic: int = 0
 
     @property
@@ -83,23 +80,6 @@ class Field:
 
     def from_rational(self, num: int, den: int):
         raise NotImplementedError
-
-    def negate(self, x):
-        return self.normalize(-x)
-
-    def from_int(self, n: int):
-        """Image of the integer ``n`` under the canonical ring map, raw."""
-        return self.normalize(n)
-
-    def element(self, value) -> "FieldElement":
-        """Wrap ``value`` (int, Fraction or same-field element)."""
-        return FieldElement(self, self.coerce(value))
-
-    def from_integer(self, n: int) -> "FieldElement":
-        """Image of the integer ``n`` as a wrapped element."""
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise TypeError(f"expected an int, got {type(n).__name__}")
-        return FieldElement(self, self.from_int(n))
 
     def _unwrap(self, x):
         if isinstance(x, FieldElement):
@@ -304,7 +284,7 @@ class FieldElement:
         return FieldElement(self.field, self.field.divide(v, self.value))
 
     def __neg__(self):
-        return FieldElement(self.field, self.field.negate(self.value))
+        return FieldElement(self.field, self.field.normalize(-self.value))
 
     def __pos__(self):
         return self

@@ -15,6 +15,8 @@ the nonzero support of both operands, which keeps polynomial inputs
 
 from __future__ import annotations
 
+from math import comb
+
 from .errors import (
     FieldMismatchError,
     IndexOutOfTruncationError,
@@ -24,6 +26,20 @@ from .errors import (
     ShapeMismatchError,
 )
 from .fields import Field, FieldElement
+
+
+def _binary_pow(base, m: int, one):
+    """``base`` to the m-th power by binary exponentiation, from ``one``."""
+    if m < 0:
+        raise ValueError("exponent must be >= 0")
+    result = one
+    while m:
+        if m & 1:
+            result = result * base
+        m >>= 1
+        if m:
+            base = base * base
+    return result
 
 
 class UniSeries:
@@ -133,17 +149,7 @@ class UniSeries:
 
     def pow(self, m: int) -> "UniSeries":
         """Truncated m-th power, by binary exponentiation."""
-        if m < 0:
-            raise ValueError("exponent must be >= 0")
-        result = UniSeries._raw(self.field, [1] + [0] * self.order)
-        base = self
-        while m:
-            if m & 1:
-                result = result * base
-            m >>= 1
-            if m:
-                base = base * base
-        return result
+        return _binary_pow(self, m, UniSeries._raw(self.field, [1] + [0] * self.order))
 
     def derivative(self) -> "UniSeries":
         """Ordinary derivative; the order drops by one (floor at zero)."""
@@ -339,13 +345,6 @@ class BiSeries:
             self.field, [[norm(-a) for a in row] for row in self._rows]
         )
 
-    def scale(self, value) -> "BiSeries":
-        c = self.field.coerce(value)
-        norm = self.field.normalize
-        return BiSeries._raw(
-            self.field, [[norm(c * a) for a in row] for row in self._rows]
-        )
-
     def __mul__(self, other):
         self._check_op(other)
         nx, ny = self.x_order, self.y_order
@@ -372,17 +371,7 @@ class BiSeries:
         ``pow(a, 0)`` is the constant-one series on the same box, for
         any ``a`` including zero.
         """
-        if m < 0:
-            raise ValueError("exponent must be >= 0")
-        result = BiSeries.one(self.field, self.x_order, self.y_order)
-        base = self
-        while m:
-            if m & 1:
-                result = result * base
-            m >>= 1
-            if m:
-                base = base * base
-        return result
+        return _binary_pow(self, m, BiSeries.one(self.field, self.x_order, self.y_order))
 
     def partial_y(self) -> "BiSeries":
         """Ordinary partial derivative in Y; y_order drops by one.
@@ -405,8 +394,8 @@ class BiSeries:
         Coefficientwise, ``Y^j`` picks up ``binom(j + m, m)`` times the
         coefficient of ``Y^(j+m)``; over GF(p) this stays meaningful
         where the ordinary m-th derivative would need division by m!.
-        The binomials are built in Z by the Pascal recurrence and mapped
-        through the ring map, never as factorial quotients in the field.
+        The binomials are computed exactly in Z and mapped through the
+        ring map, never as factorial quotients in the field.
         """
         if m < 0:
             raise ValueError("derivative order must be >= 0")
@@ -417,15 +406,9 @@ class BiSeries:
             )
         if m == 0:
             return self
-        binom = []  # binom[j] = C(j + m, m), by Pascal rows
-        row = [1]
-        for r in range(1, ny + 1):
-            row = [1] + [row[t - 1] + row[t] for t in range(1, r)] + [1]
-            if r >= m:
-                binom.append(row[m])
-        # r == m gives binom[0] = C(m, m) = 1 ... r == ny gives j = ny - m
         norm = self.field.normalize
         width = ny - m + 1
+        binom = [comb(j + m, m) for j in range(width)]
         return BiSeries._raw(
             self.field,
             [
@@ -456,8 +439,13 @@ class BiSeries:
                 f"substituted series has order {f.order}, need at least {nx}"
             )
         fx = f.resized(nx)
-        acc = self.column(self.y_order)
-        for j in range(self.y_order - 1, -1, -1):
+        # all-zero top columns contribute nothing; start at the highest
+        # nonzero one (lowering often leaves many above the support)
+        top = self.y_order
+        while top and not any(row[top] for row in self._rows):
+            top -= 1
+        acc = self.column(top)
+        for j in range(top - 1, -1, -1):
             acc = acc * fx + self.column(j)
         return acc
 

@@ -5,16 +5,19 @@ coefficient, the equation has exactly one solution f with f(0) = 0, in
 any characteristic.  This module offers four independent routes to its
 coefficients plus the surrounding machinery:
 
-* ``solve_fixed_point``: substitution iteration, the ground truth the
-  other methods are tested against.
-* ``coeff_extraction``: [X^n] f as a finite sum over m of the
-  coefficient of X^n Y^(m-1) in (1 - dP/dY) * P^m.  Works over any
-  field; the sum stops at m = 2n - 1.
-* ``coeff_extraction_char0``: the characteristic-zero variant that
-  weights the m-th term by 1/m and drops the derivative factor.
-* ``furstenberg_solve``: reads the root of Q(X, Y) = 0 off the main
-  diagonal of a rational bivariate series, after the substitution
-  X -> X*Y.
+* ``fixpoint`` (``solve_fixed_point``): substitution iteration, the
+  ground truth the other methods are tested against.
+* ``theorem``: [X^n] f as a finite sum over m of the coefficient of
+  X^n Y^(m-1) in (1 - dP/dY) * P^m.  Works over any field; the sum
+  stops at m = 2n - 1.
+* ``char0``: the characteristic-zero variant that weights the m-th
+  term by 1/m and drops the derivative factor.
+* ``furstenberg`` (``furstenberg_solve``): reads the root of
+  Q(X, Y) = 0 off the main diagonal of a rational bivariate series,
+  after the substitution X -> X*Y.
+
+``solve_series`` is the single entry point that runs any of them and
+re-substitutes the result into its equation.
 
 ``taylor_residual`` checks the finite Taylor-style expansion of P
 around a substituted series (with Hasse derivatives supplying the
@@ -83,11 +86,6 @@ class ImplicitProblem:
         return f"ImplicitProblem({self.p!r}, is_polynomial={self.is_polynomial})"
 
 
-def validate_problem(p: BiSeries, *, is_polynomial: bool = True) -> ImplicitProblem:
-    """Check the two problem invariants and wrap ``p``."""
-    return ImplicitProblem(p, is_polynomial=is_polynomial)
-
-
 class RootProblem:
     """A validated instance of Q(X, f(X)) = 0 with a simple Y-root at 0.
 
@@ -126,6 +124,15 @@ class SolveReport:
     m_terms_used: tuple
 
 
+def _require_box(series: BiSeries, nx: int, ny: int, name: str = "P") -> None:
+    """Raise unless ``series`` is known on a box of at least (nx, ny)."""
+    if series.x_order < nx or series.y_order < ny:
+        raise InsufficientTruncationError(
+            f"need {name} on a box of at least ({nx}, {ny}), "
+            f"have ({series.x_order}, {series.y_order})"
+        )
+
+
 def solve_fixed_point(prob: ImplicitProblem, n_max: int) -> UniSeries:
     """Solve by iterating f <- P(X, f) from f = 0.
 
@@ -138,11 +145,8 @@ def solve_fixed_point(prob: ImplicitProblem, n_max: int) -> UniSeries:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     p = prob.p
-    if not prob.is_polynomial and (p.x_order < n_max or p.y_order < n_max):
-        raise InsufficientTruncationError(
-            f"need P on a box of at least ({n_max}, {n_max}), "
-            f"have ({p.x_order}, {p.y_order})"
-        )
+    if not prob.is_polynomial:
+        _require_box(p, n_max, n_max)
     work = p.resized(n_max, min(p.y_order, n_max))
     f = UniSeries.zero(prob.field, n_max)
     for _ in range(n_max + 1):
@@ -171,11 +175,8 @@ def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
     tails = [0] * (n_max + 1)
     if n_max == 0:
         return sums, tails, 0
-    if not prob.is_polynomial and (p.x_order < n_max or p.y_order < 2 * n_max - 1):
-        raise InsufficientTruncationError(
-            f"need P on a box of at least ({n_max}, {2 * n_max - 1}), "
-            f"have ({p.x_order}, {p.y_order})"
-        )
+    if not prob.is_polynomial:
+        _require_box(p, n_max, 2 * n_max - 1)
     m_top = 2 * n_max - 1 + extra_m
     # columns up to m_top - 1 feed the extractions; the derivative
     # factor additionally reads P's column m_top
@@ -222,49 +223,6 @@ def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
     sums = [norm(v) for v in sums]
     tails = [norm(v) for v in tails]
     return sums, tails, m_stop
-
-
-def coeff_extraction(prob: ImplicitProblem, n: int) -> FieldElement:
-    """[X^n] f by the characteristic-free extraction formula.
-
-    Sums, for m = 1 .. 2n - 1, the coefficient of X^n Y^(m-1) in
-    (1 - dP/dY) * P^m.  Valid over any coefficient field.
-    """
-    if n < 1:
-        raise ValueError("coefficient index must be >= 1")
-    sums, _, _ = _extraction_vectors(prob, n)
-    return FieldElement(prob.field, sums[n])
-
-
-def coeff_extraction_char0(prob: ImplicitProblem, n: int) -> FieldElement:
-    """[X^n] f as sum over m = 1 .. 2n - 1 of (1/m) [X^n Y^(m-1)] P^m.
-
-    The 1/m weight restricts this form to characteristic zero.
-    """
-    if n < 1:
-        raise ValueError("coefficient index must be >= 1")
-    if prob.field.characteristic:
-        raise PositiveCharacteristicError(
-            "the 1/m-weighted form needs characteristic zero; "
-            "use the derivative-corrected form instead"
-        )
-    sums, _, _ = _extraction_vectors(prob, n, char_zero_form=True)
-    return FieldElement(prob.field, sums[n])
-
-
-def extraction_tail(prob: ImplicitProblem, n_max: int, extra_m: int = 4) -> UniSeries:
-    """Per-coefficient sums of the extraction terms just past the cutoff.
-
-    Entry n collects the terms with 2n - 1 < m <= 2n - 1 + extra_m.
-    The truncation bound guarantees a zero series; this is exposed so
-    tests can check the bound is genuinely tight rather than trusted.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if extra_m < 0:
-        raise ValueError("extra_m must be >= 0")
-    _, tails, _ = _extraction_vectors(prob, n_max, extra_m=extra_m)
-    return UniSeries._raw(prob.field, tails)
 
 
 def lagrange_coefficient(
@@ -392,11 +350,7 @@ def furstenberg_solve(rp: RootProblem, n_max: int) -> UniSeries:
     if n_max == 0:
         return UniSeries.zero(field, 0)
     q = rp.q
-    if q.x_order < n_max or q.y_order < n_max:
-        raise InsufficientTruncationError(
-            f"need Q on a box of at least ({n_max}, {n_max}), "
-            f"have ({q.x_order}, {q.y_order})"
-        )
+    _require_box(q, n_max, n_max, "Q")
     qw = q.resized(n_max, n_max)
     shifted = qw.subst_x_times_y()  # box (n_max, 2 * n_max)
     unit = _drop_y_factor(shifted)  # constant term q01, invertible
@@ -407,6 +361,7 @@ def furstenberg_solve(rp: RootProblem, n_max: int) -> UniSeries:
 
 
 def _implicit_residual_zero(prob: ImplicitProblem, f: UniSeries) -> bool:
+    """Whether ``f = P(X, f)`` holds through the order of ``f``."""
     work = prob.p.resized(f.order, min(prob.p.y_order, f.order))
     return work.subst_y(f) == f
 
@@ -419,11 +374,8 @@ def _root_residual_zero(rp: RootProblem, f: UniSeries) -> bool:
 def _as_root_problem(prob: ImplicitProblem, n_max: int) -> RootProblem:
     """Rewrite f = P(X, f) as the root problem Q = P - Y = 0."""
     p = prob.p
-    if not prob.is_polynomial and (p.x_order < n_max or p.y_order < n_max):
-        raise InsufficientTruncationError(
-            f"need P on a box of at least ({n_max}, {n_max}), "
-            f"have ({p.x_order}, {p.y_order})"
-        )
+    if not prob.is_polynomial:
+        _require_box(p, n_max, n_max)
     ny = max(n_max, 1)
     work = p.resized(n_max, ny)
     q = work - BiSeries.monomial(prob.field, 1, 0, 1, n_max, ny)
@@ -455,23 +407,15 @@ def solve_series(prob, n_max: int, method) -> SolveReport:
     m_terms = ()
     if method is SolveMethod.FIXED_POINT:
         f = solve_fixed_point(prob, n_max)
-    elif method is SolveMethod.THEOREM:
-        sums, _, m_stop = _extraction_vectors(prob, n_max)
-        f = UniSeries._raw(prob.field, sums)
-        m_terms = tuple(range(1, m_stop + 1))
-    elif method is SolveMethod.CHAR0:
-        if prob.field.characteristic:
+    elif method is SolveMethod.FURSTENBERG:
+        f = furstenberg_solve(_as_root_problem(prob, n_max), n_max)
+    else:  # the two extraction formulas
+        char0 = method is SolveMethod.CHAR0
+        if char0 and prob.field.characteristic:
             raise PositiveCharacteristicError(
                 "the char0 method needs characteristic zero"
             )
-        sums, _, m_stop = _extraction_vectors(prob, n_max, char_zero_form=True)
+        sums, _, m_stop = _extraction_vectors(prob, n_max, char_zero_form=char0)
         f = UniSeries._raw(prob.field, sums)
         m_terms = tuple(range(1, m_stop + 1))
-    elif method is SolveMethod.FURSTENBERG:
-        if n_max == 0:
-            f = UniSeries.zero(prob.field, 0)
-        else:
-            f = furstenberg_solve(_as_root_problem(prob, n_max), n_max)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown method {method!r}")
     return SolveReport(method, f, _implicit_residual_zero(prob, f), m_terms)

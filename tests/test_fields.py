@@ -19,21 +19,21 @@ def test_rational_field_basic():
     q = RationalField()
     assert q.characteristic == 0
     assert q.tag == "q"
-    half = q.element(Fraction(1, 2))
-    third = q.element(Fraction(1, 3))
+    half = FieldElement(q, q.coerce(Fraction(1, 2)))
+    third = FieldElement(q, q.coerce(Fraction(1, 3)))
     assert half + third == Fraction(5, 6)
     assert half * 2 == 1
     assert (half / third) == Fraction(3, 2)
     assert str(half - half) == "0"
-    assert q.element(Fraction(10, 2)).value == 5  # demoted to int
+    assert FieldElement(q, q.coerce(Fraction(10, 2))).value == 5  # demoted to int
 
 
 def test_prime_field_basic():
     f7 = PrimeField(7)
     assert f7.characteristic == 7
     assert f7.tag == "fp:7"
-    a = f7.element(3)
-    b = f7.element(5)
+    a = FieldElement(f7, f7.coerce(3))
+    b = FieldElement(f7, f7.coerce(5))
     assert (a + b).value == 1
     assert (a * b).value == 1
     assert (a - b).value == 5
@@ -55,17 +55,17 @@ def test_prime_field_construction_guards():
     assert PrimeField(2**31 - 1).characteristic == 2**31 - 1
 
 
-def test_from_integer_ring_map():
+def test_integer_ring_map():
     for field in FIELDS:
-        assert field.from_integer(0).value == 0
-        assert field.from_integer(1).value == 1
+        assert field.coerce(0) == 0
+        assert field.coerce(1) == 1
         if field.characteristic:
-            assert field.from_integer(field.characteristic).value == 0
-            assert field.from_integer(-1).value == field.characteristic - 1
+            assert field.coerce(field.characteristic) == 0
+            assert field.coerce(-1) == field.characteristic - 1
     with pytest.raises(TypeError):
-        RationalField().from_integer(1.5)
+        RationalField().coerce(1.5)
     with pytest.raises(TypeError):
-        RationalField().from_integer(True)
+        RationalField().coerce(True)
 
 
 def test_ring_map_is_homomorphism():
@@ -74,20 +74,22 @@ def test_ring_map_is_homomorphism():
         for _ in range(200):
             a = rng.randint(-10**6, 10**6)
             b = rng.randint(-10**6, 10**6)
-            assert field.from_integer(a + b) == field.from_integer(a) + field.from_integer(b)
-            assert field.from_integer(a * b) == field.from_integer(a) * field.from_integer(b)
-            assert field.from_integer(-a) == -field.from_integer(a)
+            ea = FieldElement(field, field.coerce(a))
+            eb = FieldElement(field, field.coerce(b))
+            assert FieldElement(field, field.coerce(a + b)) == ea + eb
+            assert FieldElement(field, field.coerce(a * b)) == ea * eb
+            assert FieldElement(field, field.coerce(-a)) == -ea
 
 
 def test_field_axioms_randomized():
     rng = make_rng("field-axioms")
     for field in FIELDS:
-        zero = field.element(0)
-        one = field.element(1)
+        zero = FieldElement(field, field.coerce(0))
+        one = FieldElement(field, field.coerce(1))
         for _ in range(1000):
-            a = field.element(random_value(rng, field))
-            b = field.element(random_value(rng, field))
-            c = field.element(random_value(rng, field))
+            a = FieldElement(field, field.coerce(random_value(rng, field)))
+            b = FieldElement(field, field.coerce(random_value(rng, field)))
+            c = FieldElement(field, field.coerce(random_value(rng, field)))
             assert a + b == b + a
             assert a * b == b * a
             assert (a + b) + c == a + (b + c)
@@ -104,10 +106,12 @@ def test_field_axioms_randomized():
 
 def test_division_by_zero():
     for field in FIELDS:
+        one = FieldElement(field, field.coerce(1))
+        zero = FieldElement(field, field.coerce(0))
         with pytest.raises(ZeroDivisionError):
-            field.element(1) / field.element(0)
+            one / zero
         with pytest.raises(ZeroDivisionError):
-            field.element(0).inverse()
+            zero.inverse()
 
 
 def test_from_rational():
@@ -127,33 +131,37 @@ def test_from_rational():
 
 def test_prime_field_coerces_fractions():
     f7 = PrimeField(7)
-    assert f7.element(Fraction(1, 2)).value == 4
+    assert FieldElement(f7, f7.coerce(Fraction(1, 2))).value == 4
     with pytest.raises(LiteralNotInFieldError):
-        f7.element(Fraction(1, 7))
+        FieldElement(f7, f7.coerce(Fraction(1, 7)))
 
 
 def test_cross_field_mixing_rejected():
     q = RationalField()
     f5 = PrimeField(5)
     with pytest.raises(FieldMismatchError):
-        q.element(1) + f5.element(1)
+        FieldElement(q, q.coerce(1)) + FieldElement(f5, f5.coerce(1))
     with pytest.raises(FieldMismatchError):
-        f5.element(f5.element(2) * 2 + q.element(1))
-    assert q.element(1) != f5.element(1)
-    assert PrimeField(5).element(2) == PrimeField(5).element(7)
+        FieldElement(f5, f5.coerce(2)) * 2 + FieldElement(q, q.coerce(1))
+    assert FieldElement(q, q.coerce(1)) != FieldElement(f5, f5.coerce(1))
+    other_f5 = PrimeField(5)
+    assert FieldElement(f5, f5.coerce(2)) == FieldElement(other_f5, other_f5.coerce(7))
 
 
 def test_element_python_protocol():
     f5 = PrimeField(5)
-    a = f5.element(3)
+    a = FieldElement(f5, f5.coerce(3))
     assert 1 + a == 4 and 1 - a == 3 and 2 * a == 1 and 1 / a == 2
-    assert bool(a) and not bool(f5.element(0))
+    assert bool(a) and not bool(FieldElement(f5, f5.coerce(0)))
     assert repr(a) == "FieldElement(fp:5, 3)"
-    assert hash(f5.element(2)) == hash(PrimeField(5).element(7))
+    other_f5 = PrimeField(5)
+    assert hash(FieldElement(f5, f5.coerce(2))) == hash(
+        FieldElement(other_f5, other_f5.coerce(7))
+    )
     with pytest.raises(TypeError):
         a + 1.5
     with pytest.raises(TypeError):
-        f5.element(True)
+        FieldElement(f5, f5.coerce(True))
 
 
 def test_field_equality_and_hash():

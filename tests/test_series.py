@@ -169,7 +169,7 @@ def test_biseries_ring_axioms_randomized():
             assert a * (b + c) == a * b + a * c
             assert (a - b) + b == a
             assert a.pow(3) == a * a * a
-            assert a.scale(2) == a + a
+            assert a * BiSeries.monomial(field, 2, 0, 0, nx, ny) == a + a
             assert a * BiSeries.one(field, nx, ny) == a
 
 
@@ -194,9 +194,7 @@ def test_hasse_derivative_matches_binomial_rule():
             assert h.x_order == nx and h.y_order == ny - m
             for i in range(nx + 1):
                 for j in range(ny - m + 1):
-                    expected = field.from_int(math.comb(j + m, m)) * p.coeff(
-                        i, j + m
-                    )
+                    expected = p.coeff(i, j + m) * math.comb(j + m, m)
                     assert h.coeff(i, j) == expected
 
 
@@ -230,7 +228,8 @@ def test_hasse_composition_law():
             k = rng.randint(0, ny)
             m = rng.randint(0, ny - k)
             lhs = p.hasse_derivative(k).hasse_derivative(m)
-            rhs = p.hasse_derivative(k + m).scale(math.comb(k + m, m))
+            scale = BiSeries.monomial(field, math.comb(k + m, m), 0, 0, 2, ny - k - m)
+            rhs = p.hasse_derivative(k + m) * scale
             assert lhs == rhs
 
 

@@ -22,16 +22,12 @@ from implicitseries import (
     UniSeries,
     ZeroConstantTermError,
     ZeroLinearYTermError,
-    coeff_extraction,
-    coeff_extraction_char0,
-    extraction_tail,
     factor_out_root,
     furstenberg_solve,
     lagrange_coefficient,
     solve_fixed_point,
     solve_series,
     taylor_residual,
-    validate_problem,
 )
 from implicitseries.solver import _extraction_vectors
 
@@ -62,15 +58,15 @@ def catalan_problem(field, n_max: int) -> ImplicitProblem:
 
 # --------------------------------------------------------------- validation
 
-def test_validate_problem():
+def test_implicit_problem_validation():
     p = BiSeries.from_terms(Q, [(1, 0, 1), (0, 2, 1)], 3, 3)
-    assert validate_problem(p).p is p
+    assert ImplicitProblem(p).p is p
     with pytest.raises(NonzeroLinearYTermError):
-        validate_problem(BiSeries.from_terms(Q, [(0, 1, 1)], 3, 3))  # P = Y
+        ImplicitProblem(BiSeries.from_terms(Q, [(0, 1, 1)], 3, 3))  # P = Y
     with pytest.raises(NonzeroConstantTermError):
-        validate_problem(BiSeries.from_terms(Q, [(0, 0, 1), (1, 0, 1)], 3, 3))
+        ImplicitProblem(BiSeries.from_terms(Q, [(0, 0, 1), (1, 0, 1)], 3, 3))
     # a Y-free series is fine: there is no linear-Y coefficient to check
-    assert validate_problem(BiSeries.from_terms(Q, [(1, 0, 1)], 3, 0)).is_polynomial
+    assert ImplicitProblem(BiSeries.from_terms(Q, [(1, 0, 1)], 3, 0)).is_polynomial
 
 
 def test_root_problem_validation():
@@ -118,30 +114,30 @@ def test_fixed_point_truncated_input_needs_box():
 
 def test_extraction_examples():
     prob = catalan_problem(Q, 4)
-    assert coeff_extraction(prob, 4).value == 5
-    assert coeff_extraction(catalan_problem(Q, 1), 1).value == 1
-    assert coeff_extraction(catalan_problem(F2, 8), 8).value == 1
+    assert solve_series(prob, 4, "theorem").solution.coeff(4) == 5
+    assert solve_series(catalan_problem(Q, 1), 1, "theorem").solution.coeff(1) == 1
+    assert solve_series(catalan_problem(F2, 8), 8, "theorem").solution.coeff(8) == 1
     with pytest.raises(ValueError):
-        coeff_extraction(prob, 0)
+        solve_series(prob, -1, "theorem")
 
 
 def test_extraction_char0_examples():
-    assert coeff_extraction_char0(catalan_problem(Q, 5), 5).value == 14
+    assert solve_series(catalan_problem(Q, 5), 5, "char0").solution.coeff(5) == 14
     p = BiSeries.from_terms(Q, [(1, 0, 1), (1, 1, 1)], 3, 5)
-    assert coeff_extraction_char0(ImplicitProblem(p), 3).value == 1
+    assert solve_series(ImplicitProblem(p), 3, "char0").solution.coeff(3) == 1
     with pytest.raises(PositiveCharacteristicError):
-        coeff_extraction_char0(catalan_problem(PrimeField(5), 3), 3)
+        solve_series(catalan_problem(PrimeField(5), 3), 3, "char0")
 
 
 def test_extraction_truncated_input_needs_box():
     p = BiSeries.from_terms(Q, [(1, 0, 1), (0, 2, 1)], 4, 5)
     prob = ImplicitProblem(p, is_polynomial=False)
     with pytest.raises(InsufficientTruncationError):
-        coeff_extraction(prob, 4)  # needs y_order 7
+        solve_series(prob, 4, "theorem")  # needs y_order 7
     wide = ImplicitProblem(
         BiSeries.from_terms(Q, [(1, 0, 1), (0, 2, 1)], 4, 7), is_polynomial=False
     )
-    assert coeff_extraction(wide, 4).value == 5
+    assert solve_series(wide, 4, "theorem").solution.coeff(4) == 5
 
 
 def test_extraction_whole_vector_matches_oracle():
@@ -164,17 +160,6 @@ def test_extraction_sums_unchanged_by_tail_window():
     assert all(v == 0 for v in widened[1])
 
 
-def test_extraction_tail_is_zero_series():
-    prob = catalan_problem(Q, 6)
-    tail = extraction_tail(prob, 6, extra_m=4)
-    assert tail.order == 6 and tail.is_zero()
-    assert extraction_tail(prob, 0).is_zero()
-    with pytest.raises(ValueError):
-        extraction_tail(prob, -1)
-    with pytest.raises(ValueError):
-        extraction_tail(prob, 3, extra_m=-2)
-
-
 def test_per_m_term_groups_differ_but_totals_agree():
     # the two extraction formulas distribute the answer differently over
     # m; only the totals coincide.  For P = X + Y^2 at n = 4 the general
@@ -195,7 +180,7 @@ def test_per_m_term_groups_differ_but_totals_agree():
     assert general == [0, 0, 0, 0, 0, -30, 35]
     assert weighted == [0, 0, 0, 0, 0, 0, 5]
     assert sum(general) == sum(weighted) == 5
-    assert coeff_extraction(catalan_problem(Q, n), n).value == 5
+    assert solve_series(catalan_problem(Q, n), n, "theorem").solution.coeff(n) == 5
 
 
 # ------------------------------------------------------------------ lagrange
@@ -246,10 +231,10 @@ def test_lagrange_agrees_with_extraction():
             p = BiSeries.from_terms(
                 field, [(1, j, c) for j, c in enumerate(phi._c)], 8, 15
             )
-            prob = ImplicitProblem(p)
+            f = solve_series(ImplicitProblem(p), 8, SolveMethod.THEOREM).solution
             for n in range(1, 9):
                 direct = lagrange_coefficient(phi.resized(max(n - 1, 0)), n)
-                assert direct == coeff_extraction(prob, n)
+                assert direct == f.coeff(n)
 
 
 # ------------------------------------------------------------------- taylor
