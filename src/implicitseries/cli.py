@@ -25,7 +25,7 @@ import sys
 
 from .errors import ExpressionSyntaxError, ImplicitSeriesError
 from .expressions import (
-    Mul,
+    BinOp,
     Variable,
     lower_expression,
     lower_univariate,
@@ -140,7 +140,7 @@ def cmd_lagrange(args) -> int:
     values = [lagrange_coefficient(phi, k, variant) for k in range(1, n + 1)]
     f = UniSeries(field, [0] + values)
     # f solves f = P(X, f) for P = X * phi(Y); re-substitute to check
-    p = lower_expression(Mul(Variable("X"), node), field, n, phi.order)
+    p = lower_expression(BinOp("*", Variable("X"), node), field, n, phi.order)
     residual_zero = _implicit_residual_zero(ImplicitProblem(p), f)
     coeffs = _series_strings(f)
     return _emit(

@@ -4,22 +4,27 @@ The accepted grammar, whitespace-insensitive between tokens::
 
     expr     := term (('+' | '-') term)*
     term     := factor ('*' factor)*
-    factor   := '-' factor | power
+    factor   := '-'* power
     power    := atom ('^' exponent)?
-    exponent := INT ('^' exponent)?          # right-associative, in Z
+    exponent := INT ('^' INT)*               # right-associative, in Z
     atom     := INT ('/' INT)? | 'X' | 'Y' | '(' expr ')'
 
 ``/`` appears only inside rational literals such as ``1/2``; variable
 names are case-sensitive.  Exponents are literal nonnegative integers
 evaluated during parsing, so ``X^2^3`` is ``X^8`` and ``2^3^2`` is
-``512``.  Syntax problems raise :class:`ExpressionSyntaxError` with the
-byte offset of the offending token; a rational literal that does not
-denote an element of the target field (zero denominator, or denominator
-divisible by the characteristic) raises :class:`LiteralNotInFieldError`.
+``512``.  Parentheses nest at most ``MAX_PAREN_DEPTH`` (100) deep; every
+other construct may repeat without bound, because the syntax tree is
+walked by one iterative traversal (``_nodes``) for literal checks,
+variable checks and lowering.  Syntax problems raise
+:class:`ExpressionSyntaxError` with the byte offset of the offending
+token; a rational literal that does not denote an element of the target
+field (zero denominator, or denominator divisible by the characteristic)
+raises :class:`LiteralNotInFieldError`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -32,17 +37,13 @@ from .fields import Field
 from .series import BiSeries, UniSeries
 
 _SYMBOLS = set("+-*/^()")
+MAX_PAREN_DEPTH = 100
 
 
 @dataclass(frozen=True)
-class IntLiteral:
-    value: int
-
-
-@dataclass(frozen=True)
-class RationalLiteral:
+class Literal:
     numerator: int
-    denominator: int
+    denominator: int  # 1 for an integer literal
     offset: int  # byte offset, for error reporting
 
 
@@ -57,19 +58,8 @@ class Negate:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
+class BinOp:
+    op: str  # "+", "-" or "*"
     left: object
     right: object
 
@@ -78,6 +68,9 @@ class Mul:
 class Power:
     base: object
     exponent: int
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def _byte_offset(text: str, index: int) -> int:
@@ -124,6 +117,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # parentheses currently open
 
     def peek(self):
         return self.tokens[self.pos]
@@ -147,22 +141,25 @@ class _Parser:
         node = self.parse_term()
         while self.at_sym("+", "-"):
             op = self.take()[1]
-            right = self.parse_term()
-            node = Add(node, right) if op == "+" else Sub(node, right)
+            node = BinOp(op, node, self.parse_term())
         return node
 
     def parse_term(self):
         node = self.parse_factor()
         while self.at_sym("*"):
             self.take()
-            node = Mul(node, self.parse_factor())
+            node = BinOp("*", node, self.parse_factor())
         return node
 
     def parse_factor(self):
-        if self.at_sym("-"):
+        negations = 0
+        while self.at_sym("-"):
             self.take()
-            return Negate(self.parse_factor())
-        return self.parse_power()
+            negations += 1
+        node = self.parse_power()
+        for _ in range(negations):
+            node = Negate(node)
+        return node
 
     def parse_power(self):
         node = self.parse_atom()
@@ -172,16 +169,22 @@ class _Parser:
         return node
 
     def parse_exponent(self) -> int:
-        tok = self.peek()
-        if tok[0] == "sym" and tok[1] == "-":
-            raise ExponentNegativeError("exponents must be nonnegative", tok[2])
-        if tok[0] != "int":
-            self.fail("an integer exponent", tok)
-        base = self.take()[1]
-        if self.at_sym("^"):
+        tower = []
+        while True:
+            tok = self.peek()
+            if tok[0] == "sym" and tok[1] == "-":
+                raise ExponentNegativeError("exponents must be nonnegative", tok[2])
+            if tok[0] != "int":
+                self.fail("an integer exponent", tok)
+            tower.append(self.take()[1])
+            if not self.at_sym("^"):
+                break
             self.take()
-            return base ** self.parse_exponent()
-        return base
+        # towers associate to the right: fold from the top down
+        value = tower.pop()
+        while tower:
+            value = tower.pop() ** value
+        return value
 
     def parse_atom(self):
         tok = self.peek()
@@ -194,34 +197,46 @@ class _Parser:
                 if den_tok[0] != "int":
                     self.fail("an integer denominator", den_tok)
                 self.take()
-                return RationalLiteral(value, den_tok[1], offset)
-            return IntLiteral(value)
+                return Literal(value, den_tok[1], offset)
+            return Literal(value, 1, offset)
         if kind == "var":
             self.take()
             return Variable(value)
         if kind == "sym" and value == "(":
+            # each level costs a few stack frames of this recursive
+            # descent; a fixed bound keeps deep input an ordinary error
+            if self.depth == MAX_PAREN_DEPTH:
+                raise ExpressionSyntaxError(
+                    f"parentheses nested deeper than {MAX_PAREN_DEPTH}", offset
+                )
             self.take()
+            self.depth += 1
             node = self.parse_expr()
             closing = self.peek()
             if not self.at_sym(")"):
                 self.fail("')'", closing)
             self.take()
+            self.depth -= 1
             return node
         self.fail("a number, 'X', 'Y', or '('", tok)
 
 
-def _nodes(tree):
-    """Every node of ``tree`` in pre-order, left operands first."""
+def _nodes(tree) -> list:
+    """Every node of ``tree`` in post-order: each after its operands,
+    left operands first (so leaves appear in the order of the text)."""
+    order = []
     stack = [tree]
     while stack:
         node = stack.pop()
-        yield node
+        order.append(node)
         if isinstance(node, Negate):
             stack.append(node.operand)
-        elif isinstance(node, (Add, Sub, Mul)):
-            stack.extend((node.right, node.left))
+        elif isinstance(node, BinOp):
+            stack.extend((node.left, node.right))
         elif isinstance(node, Power):
             stack.append(node.base)
+    order.reverse()
+    return order
 
 
 def parse_expression(text: str, field: Field):
@@ -236,7 +251,7 @@ def parse_expression(text: str, field: Field):
     if trailing[0] != "end":
         parser.fail("end of input", trailing)
     for sub_node in _nodes(node):
-        if isinstance(sub_node, RationalLiteral):
+        if isinstance(sub_node, Literal):
             try:
                 field.from_rational(sub_node.numerator, sub_node.denominator)
             except LiteralNotInFieldError as exc:
@@ -252,33 +267,24 @@ def lower_expression(node, field: Field, x_order: int, y_order: int) -> BiSeries
     Monomials beyond the box truncate away silently, consistent with
     reading the expression in the quotient ring.
     """
-    if isinstance(node, IntLiteral):
-        return BiSeries.monomial(field, node.value, 0, 0, x_order, y_order)
-    if isinstance(node, RationalLiteral):
-        value = field.from_rational(node.numerator, node.denominator)
-        return BiSeries.monomial(field, value, 0, 0, x_order, y_order)
-    if isinstance(node, Variable):
-        i, j = (1, 0) if node.name == "X" else (0, 1)
-        return BiSeries.monomial(field, 1, i, j, x_order, y_order)
-    if isinstance(node, Negate):
-        return -lower_expression(node.operand, field, x_order, y_order)
-    if isinstance(node, Add):
-        return lower_expression(
-            node.left, field, x_order, y_order
-        ) + lower_expression(node.right, field, x_order, y_order)
-    if isinstance(node, Sub):
-        return lower_expression(
-            node.left, field, x_order, y_order
-        ) - lower_expression(node.right, field, x_order, y_order)
-    if isinstance(node, Mul):
-        return lower_expression(
-            node.left, field, x_order, y_order
-        ) * lower_expression(node.right, field, x_order, y_order)
-    if isinstance(node, Power):
-        return lower_expression(node.base, field, x_order, y_order).pow(
-            node.exponent
-        )
-    raise TypeError(f"not an expression node: {node!r}")
+    values = []  # operands awaiting the node that consumes them
+    for sub_node in _nodes(node):
+        if isinstance(sub_node, Literal):
+            value = field.from_rational(sub_node.numerator, sub_node.denominator)
+            values.append(BiSeries.monomial(field, value, 0, 0, x_order, y_order))
+        elif isinstance(sub_node, Variable):
+            i, j = (1, 0) if sub_node.name == "X" else (0, 1)
+            values.append(BiSeries.monomial(field, 1, i, j, x_order, y_order))
+        elif isinstance(sub_node, Negate):
+            values.append(-values.pop())
+        elif isinstance(sub_node, BinOp):
+            right = values.pop()
+            values.append(_BINARY[sub_node.op](values.pop(), right))
+        elif isinstance(sub_node, Power):
+            values.append(values.pop().pow(sub_node.exponent))
+        else:
+            raise TypeError(f"not an expression node: {sub_node!r}")
+    return values.pop()
 
 
 def lower_univariate(node, field: Field, order: int) -> UniSeries:

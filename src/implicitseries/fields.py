@@ -12,6 +12,7 @@ field for safe use at the API boundary.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import FieldMismatchError, LiteralNotInFieldError
@@ -232,56 +233,44 @@ class FieldElement:
         self.field = field
         self.value = value
 
-    def _other(self, x):
-        if isinstance(x, FieldElement):
-            if x.field != self.field:
+    def _binary(self, other, op, reflected=False):
+        """``op`` on the payloads (swapped if ``reflected``), normalized and
+        wrapped; ``NotImplemented`` unless ``other`` is an int, a fraction
+        or an element of the same field."""
+        if isinstance(other, FieldElement):
+            if other.field != self.field:
                 raise FieldMismatchError(
-                    f"cannot combine elements of {self.field.tag} and {x.field.tag}"
+                    f"cannot combine elements of {self.field.tag} and {other.field.tag}"
                 )
-            return x.value
-        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-            return self.field.coerce(x)
-        return None
+            v = other.value
+        elif isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            v = self.field.coerce(other)
+        else:
+            return NotImplemented
+        a, b = (v, self.value) if reflected else (self.value, v)
+        return FieldElement(self.field, self.field.normalize(op(a, b)))
 
     def __add__(self, other):
-        v = self._other(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.normalize(self.value + v))
+        return self._binary(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        v = self._other(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.normalize(self.value - v))
+        return self._binary(other, operator.sub)
 
     def __rsub__(self, other):
-        v = self._other(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.normalize(v - self.value))
+        return self._binary(other, operator.sub, reflected=True)
 
     def __mul__(self, other):
-        v = self._other(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.normalize(self.value * v))
+        return self._binary(other, operator.mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        v = self._other(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.divide(self.value, v))
+        return self._binary(other, self.field.divide)
 
     def __rtruediv__(self, other):
-        v = self._other(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.divide(v, self.value))
+        return self._binary(other, self.field.divide, reflected=True)
 
     def __neg__(self):
         return FieldElement(self.field, self.field.normalize(-self.value))

@@ -163,11 +163,7 @@ class UniSeries:
     def __eq__(self, other):
         if not isinstance(other, UniSeries):
             return NotImplemented
-        return (
-            other.field == self.field
-            and len(other._c) == len(self._c)
-            and other._c == self._c
-        )
+        return other.field == self.field and other._c == self._c
 
     def __hash__(self):
         return hash((self.field, tuple(self._c)))
@@ -505,12 +501,7 @@ class BiSeries:
     def __eq__(self, other):
         if not isinstance(other, BiSeries):
             return NotImplemented
-        return (
-            other.field == self.field
-            and len(other._rows) == len(self._rows)
-            and len(other._rows[0]) == len(self._rows[0])
-            and other._rows == self._rows
-        )
+        return other.field == self.field and other._rows == self._rows
 
     def __hash__(self):
         return hash((self.field, tuple(tuple(r) for r in self._rows)))

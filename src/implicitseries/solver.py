@@ -16,8 +16,10 @@ coefficients plus the surrounding machinery:
   Q(X, Y) = 0 off the main diagonal of a rational bivariate series,
   after the substitution X -> X*Y.
 
-``solve_series`` is the single entry point that runs any of them and
-re-substitutes the result into its equation.
+``solve_series`` is the single entry point that runs any of them on an
+``ImplicitProblem`` and re-substitutes the result into its equation;
+``furstenberg_solve`` and ``factor_out_root`` also take a
+``RootProblem`` Q(X, f) = 0 directly.
 
 ``taylor_residual`` checks the finite Taylor-style expansion of P
 around a substituted series (with Hasse derivatives supplying the
@@ -38,7 +40,6 @@ from .errors import (
     NonzeroLinearYTermError,
     NotARootError,
     PositiveCharacteristicError,
-    ShapeMismatchError,
     ZeroConstantTermError,
     ZeroLinearYTermError,
 )
@@ -160,8 +161,10 @@ def solve_fixed_point(prob: ImplicitProblem, n_max: int) -> UniSeries:
 def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
     """Shared sweep behind the extraction formulas.
 
-    Returns ``(sums, tails, m_stop)``: ``sums[n]`` collects the terms
-    with m <= 2n - 1 and ``tails[n]`` the terms with 2n - 1 < m <=
+    Each m adds the coefficients of X^n Y^(m-1) in D * P^m, for
+    D = 1 - dP/dY (theorem) or D = 1 with weight 1/m (char0).  Returns
+    ``(sums, tails, m_stop)``: ``sums[n]`` collects the terms with
+    m <= 2n - 1 and ``tails[n]`` the terms with 2n - 1 < m <=
     2n - 1 + extra_m, both as raw payloads; ``m_stop`` is the largest m
     actually accumulated.  The truncation bound says every tail term
     extracts to zero; they are kept separate so callers can verify
@@ -182,7 +185,7 @@ def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
     # factor additionally reads P's column m_top
     work = p.resized(n_max, m_top)
     if char_zero_form:
-        d_terms = None
+        d_terms = [(0, 0, 1)]  # no derivative factor; weight 1/m instead
     else:
         d = BiSeries.one(field, n_max, m_top - 1) - work.partial_y()
         d_terms = d.nonzero_terms()
@@ -193,25 +196,18 @@ def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
         col = m - 1
         n_lo_sum = (m + 2) // 2  # smallest n with m <= 2n - 1
         n_lo = max(1, (m + 2 - extra_m) // 2)
+        w = Fraction(1, m) if char_zero_form else 1
         rows = cur._rows
-        if char_zero_form:
-            w = Fraction(1, m)
-            for n in range(n_lo, n_max + 1):
-                val = rows[n][col]
-                if val:
-                    bucket = sums if n >= n_lo_sum else tails
-                    bucket[n] += w * val
-        else:
-            for n in range(n_lo, n_max + 1):
-                s = 0
-                for a, b, c in d_terms:
-                    if a <= n and b <= col:
-                        v = rows[n - a][col - b]
-                        if v:
-                            s += c * v
-                if s:
-                    bucket = sums if n >= n_lo_sum else tails
-                    bucket[n] += s
+        for n in range(n_lo, n_max + 1):
+            s = 0
+            for a, b, c in d_terms:
+                if a <= n and b <= col:
+                    v = rows[n - a][col - b]
+                    if v:
+                        s += c * v
+            if s:
+                bucket = sums if n >= n_lo_sum else tails
+                bucket[n] += w * s
         if m < m_top:
             cur = cur * factor
             if cur.is_zero():
@@ -268,26 +264,15 @@ def taylor_residual(p: BiSeries, f: UniSeries) -> BiSeries:
     higher terms vanish, so the contract is a residual of exactly
     zero.  Requires f(0) = 0 and f.order >= p.x_order.
     """
-    if f.field != p.field:
-        raise FieldMismatchError(
-            f"series over {p.field.tag} expanded around a {f.field.tag} series"
-        )
-    if f._c[0]:
-        raise NonzeroConstantTermError("expansion point must vanish at the origin")
     nx, ny = p.x_order, p.y_order
-    if f.order < nx:
-        raise ShapeMismatchError(
-            f"expansion point has order {f.order}, need at least {nx}"
-        )
-    fw = f.resized(nx)
     base = BiSeries.monomial(p.field, 1, 0, 1, nx, ny) - BiSeries.from_uniseries(
-        fw, ny
+        f.resized(nx), ny
     )
     residual = p
     pw = BiSeries.one(p.field, nx, ny)
     for m in range(ny + 1):
-        hm = p.hasse_derivative(m)
-        value = hm.subst_y(fw)
+        # subst_y checks the field, f(0) = 0 and the order of f
+        value = p.hasse_derivative(m).subst_y(f)
         residual = residual - pw * BiSeries.from_uniseries(value, ny)
         if m < ny:
             pw = pw * base
@@ -366,11 +351,6 @@ def _implicit_residual_zero(prob: ImplicitProblem, f: UniSeries) -> bool:
     return work.subst_y(f) == f
 
 
-def _root_residual_zero(rp: RootProblem, f: UniSeries) -> bool:
-    qw = rp.q.resized(f.order, rp.q.y_order)
-    return qw.subst_y(f).is_zero()
-
-
 def _as_root_problem(prob: ImplicitProblem, n_max: int) -> RootProblem:
     """Rewrite f = P(X, f) as the root problem Q = P - Y = 0."""
     p = prob.p
@@ -382,27 +362,20 @@ def _as_root_problem(prob: ImplicitProblem, n_max: int) -> RootProblem:
     return RootProblem(q)
 
 
-def solve_series(prob, n_max: int, method) -> SolveReport:
+def solve_series(prob: ImplicitProblem, n_max: int, method) -> SolveReport:
     """Compute f through order ``n_max`` with the chosen method.
 
-    ``prob`` is an :class:`ImplicitProblem` (any method) or a
-    :class:`RootProblem` (furstenberg only).  The report carries the
-    solution, the m-range the extraction methods summed, and the
-    outcome of re-substituting the solution into its equation.
+    The report carries the solution, the m-range the extraction methods
+    summed, and the outcome of re-substituting the solution into
+    f = P(X, f).  A root problem Q(X, f) = 0 goes to
+    :func:`furstenberg_solve` directly.
     """
     if not isinstance(method, SolveMethod):
         method = SolveMethod(method)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if isinstance(prob, RootProblem):
-        if method is not SolveMethod.FURSTENBERG:
-            raise ValueError(
-                "a RootProblem is solved by the furstenberg method only"
-            )
-        f = furstenberg_solve(prob, n_max)
-        return SolveReport(method, f, _root_residual_zero(prob, f), ())
     if not isinstance(prob, ImplicitProblem):
-        raise TypeError(f"expected a problem object, got {type(prob).__name__}")
+        raise TypeError(f"expected an ImplicitProblem, got {type(prob).__name__}")
 
     m_terms = ()
     if method is SolveMethod.FIXED_POINT:

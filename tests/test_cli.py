@@ -307,6 +307,37 @@ def test_factor_without_linear_y_term_exits_1(capsys):
     assert err.startswith("error: ")
 
 
+# ------------------------------------------------------------- deep input
+
+@pytest.mark.parametrize(
+    "poly, linear",
+    [
+        ("+".join(["X"] * 1200), "1200"),
+        ("-" * 1200 + "X", "1"),
+        ("X" + "^1" * 1200, "1"),
+        ("(" * 100 + "X" + ")" * 100, "1"),
+    ],
+    ids=["sum", "negations", "tower", "parentheses-100"],
+)
+def test_deep_expressions_solve(capsys, poly, linear):
+    # --poly= keeps a leading minus from reading as an option
+    code, out, err = run_cli(
+        capsys, "solve", "--field", "q", f"--poly={poly}", "--order", "3"
+    )
+    assert (code, err) == (0, "")
+    assert out == f"0: 0\n1: {linear}\n2: 0\n3: 0\n"
+
+
+@pytest.mark.parametrize("depth", [101, 400])
+def test_parentheses_beyond_100_exit_2(capsys, depth):
+    poly = "(" * depth + "X" + ")" * depth
+    code, out, err = run_cli(
+        capsys, "solve", "--field", "q", "--poly", poly, "--order", "3"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: parentheses nested deeper than 100 (byte offset 100)\n"
+
+
 # -------------------------------------------------------------- determinism
 
 def test_repeat_invocations_are_identical(capsys):

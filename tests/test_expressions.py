@@ -146,6 +146,25 @@ def test_lower_univariate():
         lower_univariate(parse_expression("X + Y", Q), Q, 4)
 
 
+# ------------------------------------------------------------------ deep input
+
+def test_long_sums_negations_and_towers():
+    # each repeats 1200 times, far beyond the interpreter's recursion limit
+    assert lower("+".join(["X"] * 1200), Q, 2, 0) == lower("1200*X", Q, 2, 0)
+    assert lower("-" * 1200 + "X", Q, 2, 0) == lower("X", Q, 2, 0)
+    assert lower("-" * 1201 + "X", Q, 2, 0) == lower("-X", Q, 2, 0)
+    assert lower("X" + "^1" * 1200, Q, 2, 0) == lower("X", Q, 2, 0)
+
+
+def test_parentheses_nest_at_most_100_deep():
+    assert lower("(" * 100 + "X" + ")" * 100, Q, 2, 0) == lower("X", Q, 2, 0)
+    for depth in (101, 400):
+        with pytest.raises(ExpressionSyntaxError) as e:
+            parse_expression("(" * depth + "X" + ")" * depth, Q)
+        # the offset is that of the first parenthesis beyond the limit
+        assert str(e.value) == "parentheses nested deeper than 100 (byte offset 100)"
+
+
 # ------------------------------------------------------------------ formatting
 
 def test_format_biseries_examples():

@@ -411,14 +411,11 @@ def test_solve_series_order_zero():
         assert report.m_terms_used == ()
 
 
-def test_solve_series_root_problem_routes():
+def test_solve_series_takes_only_implicit_problems():
+    # a root problem goes to furstenberg_solve directly
     q = BiSeries.from_terms(Q, [(0, 1, 1), (1, 0, -1), (0, 2, -1)], 6, 6)
-    rp = RootProblem(q)
-    report = solve_series(rp, 6, SolveMethod.FURSTENBERG)
-    assert report.solution._c == [0, 1, 1, 2, 5, 14, 42]
-    assert report.residual_zero
-    with pytest.raises(ValueError):
-        solve_series(rp, 6, SolveMethod.THEOREM)
+    with pytest.raises(TypeError):
+        solve_series(RootProblem(q), 6, SolveMethod.FURSTENBERG)
     with pytest.raises(TypeError):
         solve_series(q, 6, SolveMethod.THEOREM)
 
