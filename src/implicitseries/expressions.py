@@ -15,7 +15,9 @@ evaluated during parsing, so ``X^2^3`` is ``X^8`` and ``2^3^2`` is
 ``512``.  Parentheses nest at most ``MAX_PAREN_DEPTH`` (100) deep; every
 other construct may repeat without bound, because the syntax tree is
 walked by one iterative traversal (``_nodes``) for literal checks,
-variable checks and lowering.  Syntax problems raise
+variable checks and lowering.  Lowering evaluates on sparse term maps cut
+to the box, so its cost follows the terms of the expression, not the
+size of the box.  Syntax problems raise
 :class:`ExpressionSyntaxError` with the byte offset of the offending
 token; a rational literal that does not denote an element of the target
 field (zero denominator, or denominator divisible by the characteristic)
@@ -24,7 +26,6 @@ raises :class:`LiteralNotInFieldError`.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -70,39 +71,36 @@ class Power:
     exponent: int
 
 
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-
-
-def _byte_offset(text: str, index: int) -> int:
-    return len(text[:index].encode("utf-8"))
-
-
 def _tokenize(text: str) -> list:
     """Split into (kind, value, byte_offset) triples, ending with 'end'."""
     tokens = []
     i = 0
     n = len(text)
+    # UTF-8 byte offset of text[seen], advanced token by token so the
+    # whole scan stays linear
+    seen = offset = 0
     while i < n:
         ch = text[i]
         if ch.isspace():
             i += 1
             continue
-        start = _byte_offset(text, i)
+        offset += len(text[seen:i].encode("utf-8"))
+        seen = i
         if ch.isdigit():
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j]), start))
+            tokens.append(("int", int(text[i:j]), offset))
             i = j
         elif ch in ("X", "Y"):
-            tokens.append(("var", ch, start))
+            tokens.append(("var", ch, offset))
             i += 1
         elif ch in _SYMBOLS:
-            tokens.append(("sym", ch, start))
+            tokens.append(("sym", ch, offset))
             i += 1
         else:
-            raise ExpressionSyntaxError(f"unexpected character {ch!r}", start)
-    tokens.append(("end", None, _byte_offset(text, n)))
+            raise ExpressionSyntaxError(f"unexpected character {ch!r}", offset)
+    tokens.append(("end", None, offset + len(text[seen:].encode("utf-8"))))
     return tokens
 
 
@@ -264,27 +262,71 @@ def parse_expression(text: str, field: Field):
 def lower_expression(node, field: Field, x_order: int, y_order: int) -> BiSeries:
     """Evaluate a syntax tree to a series on the box ``(x_order, y_order)``.
 
-    Monomials beyond the box truncate away silently, consistent with
-    reading the expression in the quotient ring.
+    Every intermediate value is a sparse term map ``{(i, j): payload}``
+    holding only nonzero, normalized payloads inside the box, and one
+    series is built at the end, so lowering costs time in proportion to
+    the terms of the expression, not to the box.  Monomials beyond the
+    box truncate away silently, consistent with reading the expression
+    in the quotient ring; ``a^0`` is 1 for every ``a``, including zero.
     """
+    norm = field.normalize
+    p = field.characteristic
+
+    def product(a, b):
+        out = {}
+        for (ia, ja), ca in a.items():
+            for (ib, jb), cb in b.items():
+                i, j = ia + ib, ja + jb
+                if i <= x_order and j <= y_order:
+                    out[i, j] = out.get((i, j), 0) + ca * cb
+        return {key: v for key, c in out.items() if (v := norm(c))}
+
+    def power(base, m):
+        if len(base) == 1:
+            ((i, j), c), = base.items()
+            if i * m > x_order or j * m > y_order:
+                return {}
+            return {(i * m, j * m): pow(c, m, p) if p else c**m}
+        result = {(0, 0): 1}
+        while m:
+            if m & 1:
+                result = product(result, base)
+            m >>= 1
+            if m:
+                base = product(base, base)
+        return result
+
     values = []  # operands awaiting the node that consumes them
     for sub_node in _nodes(node):
         if isinstance(sub_node, Literal):
             value = field.from_rational(sub_node.numerator, sub_node.denominator)
-            values.append(BiSeries.monomial(field, value, 0, 0, x_order, y_order))
+            values.append({(0, 0): value} if value else {})
         elif isinstance(sub_node, Variable):
             i, j = (1, 0) if sub_node.name == "X" else (0, 1)
-            values.append(BiSeries.monomial(field, 1, i, j, x_order, y_order))
+            values.append({(i, j): 1} if i <= x_order and j <= y_order else {})
         elif isinstance(sub_node, Negate):
-            values.append(-values.pop())
-        elif isinstance(sub_node, BinOp):
+            values.append({key: norm(-c) for key, c in values.pop().items()})
+        elif isinstance(sub_node, BinOp) and sub_node.op == "*":
             right = values.pop()
-            values.append(_BINARY[sub_node.op](values.pop(), right))
+            values.append(product(values.pop(), right))
+        elif isinstance(sub_node, BinOp):
+            # every map on the stack is unshared: add into the left one in
+            # place, so a long sum costs time linear in its terms
+            right = values.pop()
+            left = values[-1]
+            sign = 1 if sub_node.op == "+" else -1
+            for key, c in right.items():
+                c = norm(left.get(key, 0) + sign * c)
+                if c:
+                    left[key] = c
+                else:
+                    left.pop(key, None)
         elif isinstance(sub_node, Power):
-            values.append(values.pop().pow(sub_node.exponent))
+            values.append(power(values.pop(), sub_node.exponent))
         else:
             raise TypeError(f"not an expression node: {sub_node!r}")
-    return values.pop()
+    terms = [(i, j, c) for (i, j), c in values.pop().items()]
+    return BiSeries.from_terms(field, terms, x_order, y_order)
 
 
 def lower_univariate(node, field: Field, order: int) -> UniSeries:

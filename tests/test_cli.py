@@ -1,6 +1,7 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -371,3 +372,32 @@ def test_installed_entry_point():
     assert result.returncode == 0
     assert result.stdout == "0: 0\n1: 1\n2: 1\n3: 2\n4: 5\n"
     assert result.stderr == ""
+
+
+def _fresh_process(argv, env):
+    result = subprocess.run(
+        [sys.executable, "-m", "implicitseries.cli", *argv],
+        capture_output=True, text=True, env=env,
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+def test_parser_reused_across_calls_in_one_process(capsys, monkeypatch):
+    # main builds its parser once; later calls, subcommands and help
+    # texts must read exactly as in a process of their own
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ)
+    calls = [
+        ("solve", "--field", "q", "--poly", "X + Y^2", "--order", "6"),
+        ("diag", "--field", "fp:7", "--poly", "(1+X*Y)^3", "--order", "3"),
+    ]
+    for argv in calls:
+        assert run_cli(capsys, *argv) == _fresh_process(argv, env)
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        captured = capsys.readouterr()
+        helps.append((exc.value.code, captured.out, captured.err))
+    assert helps[0] == helps[1]
+    assert helps[0] == _fresh_process(["--help"], env)

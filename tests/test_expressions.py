@@ -1,5 +1,6 @@
 """Expression parsing, lowering onto coefficient grids, and formatting."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,15 @@ from implicitseries import (
     lower_expression,
     lower_univariate,
     parse_expression,
+)
+
+from implicitseries.expressions import (
+    BinOp,
+    Literal,
+    Negate,
+    Power,
+    Variable,
+    _nodes,
 )
 
 from conftest import FIELDS, make_rng, random_biseries
@@ -128,10 +138,19 @@ def test_literals_validated_against_field():
 
 
 def test_multibyte_offsets_are_in_bytes():
-    # a two-byte character before the error shifts the byte offset by two
-    with pytest.raises(ExpressionSyntaxError) as e:
-        parse_expression("Xé", Q)
-    assert "byte offset 1" in str(e.value)
+    # offsets count UTF-8 bytes: "é" and the whitespace U+00A0 take two
+    # bytes each, the whitespace U+3000 three
+    cases = [
+        ("Xé", "unexpected character 'é' (byte offset 1)"),
+        ("X\u00a0+\u3000$", "unexpected character '$' (byte offset 7)"),
+        ("\u3000X\u00a0Y", "expected end of input, found 'Y' (byte offset 6)"),
+        ("X +\u3000\u00a0", "found end of input (byte offset 8)"),
+        ("\u00a0" * 3 + "X + \u3000" * 2 + "*", "found '*' (byte offset 20)"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ExpressionSyntaxError) as e:
+            parse_expression(text, Q)
+        assert str(e.value).endswith(message), text
 
 
 # ----------------------------------------------------------------- univariate
@@ -144,6 +163,128 @@ def test_lower_univariate():
     )
     with pytest.raises(UnexpectedVariableError):
         lower_univariate(parse_expression("X + Y", Q), Q, 4)
+
+
+# -------------------------------------------------------------- lowering oracle
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def box_lower(node, field, x_order, y_order):
+    """Lowering as it was first written: every leaf and every intermediate
+    value is a full series on the box, combined by series arithmetic.
+    Slow, but a direct reading of the quotient-ring semantics."""
+    values = []
+    for sub_node in _nodes(node):
+        if isinstance(sub_node, Literal):
+            value = field.from_rational(sub_node.numerator, sub_node.denominator)
+            values.append(BiSeries.monomial(field, value, 0, 0, x_order, y_order))
+        elif isinstance(sub_node, Variable):
+            i, j = (1, 0) if sub_node.name == "X" else (0, 1)
+            values.append(BiSeries.monomial(field, 1, i, j, x_order, y_order))
+        elif isinstance(sub_node, Negate):
+            values.append(-values.pop())
+        elif isinstance(sub_node, BinOp):
+            right = values.pop()
+            values.append(_BINARY[sub_node.op](values.pop(), right))
+        else:
+            assert isinstance(sub_node, Power)
+            values.append(values.pop().pow(sub_node.exponent))
+    return values.pop()
+
+
+ORACLE_FIELDS = [Q, F2, F7, PrimeField(2147483647)]
+ORACLE_BOXES = [(0, 0), (0, 5), (5, 0), (3, 7)]
+# bases that may take an exponent far beyond any box (a constant to such a
+# power would be a huge integer over Q)
+_HUGE_BASES = ["X", "Y", "0", "(X+Y)", "(1+X)", "(1-Y)", "(X*Y-2*X)", "(1+X+Y)"]
+# constructs every corpus must contain at least once
+_FEATURES = ["0^0", "X^0", "^99999999999", ")^", "---", "/"]
+
+
+def _random_atom(rng, field):
+    roll = rng.random()
+    if roll < 0.3:
+        return rng.choice(["X", "Y"])
+    num = rng.randint(0, 12)
+    if roll < 0.55:
+        return str(num)
+    dens = [d for d in range(2, 10) if d % (field.characteristic or 11)]
+    return f"{num}/{rng.choice(dens)}"
+
+
+def random_expression_text(rng, field, depth=0):
+    """Seeded random text mixing sums, products, minus chains, powers of
+    sums, powers of zero, zeroth powers and powers beyond any box."""
+    roll = rng.random()
+    if depth >= 3 or roll < 0.25:
+        return _random_atom(rng, field)
+    if roll < 0.45:
+        ops = [rng.choice(["+", "-", "*"]) for _ in range(rng.randint(1, 3))]
+        text = random_expression_text(rng, field, depth + 1)
+        for op in ops:
+            text += op + random_expression_text(rng, field, depth + 1)
+        return text
+    if roll < 0.6:
+        inner = random_expression_text(rng, field, depth + 1)
+        return f"({inner})^{rng.randint(0, 6)}"
+    if roll < 0.7:
+        inner = random_expression_text(rng, field, depth + 1)
+        return "-" * rng.randint(1, 4) + f"({inner})"
+    if roll < 0.8:
+        return rng.choice(["0^0", "X^0", "(0)^0", "Y^0", "0^3", "(X-X)^0"])
+    if roll < 0.9:
+        power = rng.choice([6, 8, 99999999999])
+        return f"{rng.choice(_HUGE_BASES)}^{power}"
+    left = random_expression_text(rng, field, depth + 1)
+    right = random_expression_text(rng, field, depth + 1)
+    return f"({left})*({right})"
+
+
+def test_lowering_matches_box_oracle():
+    rng = make_rng("lowering-oracle")
+    texts = []
+    for field in ORACLE_FIELDS:
+        for _ in range(128):
+            text = random_expression_text(rng, field)
+            texts.append(text)
+            tree = parse_expression(text, field)
+            for nx, ny in ORACLE_BOXES:
+                expected = box_lower(tree, field, nx, ny)
+                assert lower_expression(tree, field, nx, ny) == expected, (
+                    field, nx, ny, text
+                )
+    assert len(texts) >= 500
+    for feature in _FEATURES:
+        assert any(feature in text for text in texts), feature
+
+
+def test_lowering_never_multiplies_box_series(monkeypatch):
+    field = PrimeField(10007)
+    rng = make_rng("lowering-structure")
+    dense = " + ".join(
+        f"{rng.randrange(1, 10007)}*X^{i}*Y^{j}"
+        for i in range(7) for j in range(7 - i)
+    )
+    dense_y = " + ".join(f"{rng.randrange(1, 10007)}*Y^{j}" for j in range(7))
+    cases = [(dense, 40, 79), ("(1+X+Y)^5", 8, 8)]
+    uni_cases = [(dense_y, 79), ("(1+Y+Y^2)^5", 8)]
+    expected = [box_lower(parse_expression(t, field), field, nx, ny)
+                for t, nx, ny in cases]
+    expected_uni = [box_lower(parse_expression(t, field), field, 0, n)
+                    for t, n in uni_cases]
+
+    def refuse(*args):
+        raise AssertionError("lowering multiplied box-sized series")
+
+    for cls in (BiSeries, UniSeries):
+        monkeypatch.setattr(cls, "__mul__", refuse)
+        monkeypatch.setattr(cls, "pow", refuse)
+    for (text, nx, ny), want in zip(cases, expected):
+        assert lower_expression(parse_expression(text, field), field, nx, ny) == want
+    for (text, n), want in zip(uni_cases, expected_uni):
+        got = lower_univariate(parse_expression(text, field), field, n)
+        assert got == UniSeries(field, [want.coeff(0, j) for j in range(n + 1)])
 
 
 # ------------------------------------------------------------------ deep input
