@@ -25,8 +25,6 @@ import sys
 
 from .errors import ExpressionSyntaxError, ImplicitSeriesError
 from .expressions import (
-    BinOp,
-    Variable,
     lower_expression,
     lower_univariate,
     parse_expression,
@@ -133,14 +131,14 @@ def cmd_solve(args) -> int:
 
 def cmd_lagrange(args) -> int:
     field = make_field(args.field)
-    node = parse_expression(args.phi, field)
+    code = parse_expression(args.phi, field)
     n = args.order
-    phi = lower_univariate(node, field, max(n - 1, 0))
+    phi = lower_univariate(code, field, max(n - 1, 0))
     variant = LagrangeVariant(args.variant)
     values = [lagrange_coefficient(phi, k, variant) for k in range(1, n + 1)]
     f = UniSeries(field, [0] + values)
     # f solves f = P(X, f) for P = X * phi(Y); re-substitute to check
-    p = lower_expression(BinOp("*", Variable("X"), node), field, n, phi.order)
+    p = lower_expression(code + [("var", "X"), ("*", None)], field, n, phi.order)
     residual_zero = _implicit_residual_zero(ImplicitProblem(p), f)
     coeffs = _series_strings(f)
     return _emit(

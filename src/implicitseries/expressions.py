@@ -12,21 +12,20 @@ The accepted grammar, whitespace-insensitive between tokens::
 ``/`` appears only inside rational literals such as ``1/2``; variable
 names are case-sensitive.  Exponents are literal nonnegative integers
 evaluated during parsing, so ``X^2^3`` is ``X^8`` and ``2^3^2`` is
-``512``.  Parentheses nest at most ``MAX_PAREN_DEPTH`` (100) deep; every
-other construct may repeat without bound, because the syntax tree is
-walked by one iterative traversal (``_nodes``) for literal checks,
-variable checks and lowering.  Lowering evaluates on sparse term maps cut
-to the box, so its cost follows the terms of the expression, not the
-size of the box.  Syntax problems raise
-:class:`ExpressionSyntaxError` with the byte offset of the offending
-token; a rational literal that does not denote an element of the target
-field (zero denominator, or denominator divisible by the characteristic)
-raises :class:`LiteralNotInFieldError`.
+``512``.  Parsing is one left-to-right pass over the tokens with an
+explicit stack of pending operators (shunting-yard), so no construct
+costs interpreter stack; parentheses nest at most ``MAX_PAREN_DEPTH``
+(100) deep, and everything else may repeat without bound.  The pass
+converts each literal to the field once and emits postfix code, which
+lowering runs on sparse term maps cut to the box, so its cost follows
+the terms of the expression, not the size of the box.  Syntax problems
+raise :class:`ExpressionSyntaxError` with the byte offset of the
+offending token; a rational literal that does not denote an element of
+the target field (zero denominator, or denominator divisible by the
+characteristic) raises :class:`LiteralNotInFieldError`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import (
     ExponentNegativeError,
@@ -39,36 +38,6 @@ from .series import BiSeries, UniSeries
 
 _SYMBOLS = set("+-*/^()")
 MAX_PAREN_DEPTH = 100
-
-
-@dataclass(frozen=True)
-class Literal:
-    numerator: int
-    denominator: int  # 1 for an integer literal
-    offset: int  # byte offset, for error reporting
-
-
-@dataclass(frozen=True)
-class Variable:
-    name: str  # "X" or "Y"
-
-
-@dataclass(frozen=True)
-class Negate:
-    operand: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # "+", "-" or "*"
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Power:
-    base: object
-    exponent: int
 
 
 def _tokenize(text: str) -> list:
@@ -104,163 +73,107 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
-def _describe(tok) -> str:
-    kind, value, _ = tok
-    if kind == "end":
-        return "end of input"
-    return repr(str(value))
+def _fail(expected: str, tok):
+    kind, value, offset = tok
+    found = "end of input" if kind == "end" else repr(str(value))
+    raise ExpressionSyntaxError(f"expected {expected}, found {found}", offset)
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0  # parentheses currently open
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        if tok[0] != "end":
-            self.pos += 1
-        return tok
-
-    def fail(self, expected, tok):
-        raise ExpressionSyntaxError(
-            f"expected {expected}, found {_describe(tok)}", tok[2]
-        )
-
-    def at_sym(self, *chars) -> bool:
-        kind, value, _ = self.peek()
-        return kind == "sym" and value in chars
-
-    def parse_expr(self):
-        node = self.parse_term()
-        while self.at_sym("+", "-"):
-            op = self.take()[1]
-            node = BinOp(op, node, self.parse_term())
-        return node
-
-    def parse_term(self):
-        node = self.parse_factor()
-        while self.at_sym("*"):
-            self.take()
-            node = BinOp("*", node, self.parse_factor())
-        return node
-
-    def parse_factor(self):
-        negations = 0
-        while self.at_sym("-"):
-            self.take()
-            negations += 1
-        node = self.parse_power()
-        for _ in range(negations):
-            node = Negate(node)
-        return node
-
-    def parse_power(self):
-        node = self.parse_atom()
-        if self.at_sym("^"):
-            self.take()
-            node = Power(node, self.parse_exponent())
-        return node
-
-    def parse_exponent(self) -> int:
-        tower = []
-        while True:
-            tok = self.peek()
-            if tok[0] == "sym" and tok[1] == "-":
-                raise ExponentNegativeError("exponents must be nonnegative", tok[2])
-            if tok[0] != "int":
-                self.fail("an integer exponent", tok)
-            tower.append(self.take()[1])
-            if not self.at_sym("^"):
-                break
-            self.take()
-        # towers associate to the right: fold from the top down
-        value = tower.pop()
-        while tower:
-            value = tower.pop() ** value
-        return value
-
-    def parse_atom(self):
-        tok = self.peek()
-        kind, value, offset = tok
-        if kind == "int":
-            self.take()
-            if self.at_sym("/"):
-                self.take()
-                den_tok = self.peek()
-                if den_tok[0] != "int":
-                    self.fail("an integer denominator", den_tok)
-                self.take()
-                return Literal(value, den_tok[1], offset)
-            return Literal(value, 1, offset)
-        if kind == "var":
-            self.take()
-            return Variable(value)
-        if kind == "sym" and value == "(":
-            # each level costs a few stack frames of this recursive
-            # descent; a fixed bound keeps deep input an ordinary error
-            if self.depth == MAX_PAREN_DEPTH:
-                raise ExpressionSyntaxError(
-                    f"parentheses nested deeper than {MAX_PAREN_DEPTH}", offset
-                )
-            self.take()
-            self.depth += 1
-            node = self.parse_expr()
-            closing = self.peek()
-            if not self.at_sym(")"):
-                self.fail("')'", closing)
-            self.take()
-            self.depth -= 1
-            return node
-        self.fail("a number, 'X', 'Y', or '('", tok)
+# binding strength of what waits on the stack; "(" yields to nothing
+_PRECEDENCE = {"(": 0, "+": 1, "-": 1, "*": 2, "neg": 3}
 
 
-def _nodes(tree) -> list:
-    """Every node of ``tree`` in post-order: each after its operands,
-    left operands first (so leaves appear in the order of the text)."""
-    order = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        if isinstance(node, Negate):
-            stack.append(node.operand)
-        elif isinstance(node, BinOp):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, Power):
-            stack.append(node.base)
-    order.reverse()
-    return order
+def parse_expression(text: str, field: Field) -> list:
+    """Parse ``text`` into postfix code over ``field``.
 
-
-def parse_expression(text: str, field: Field):
-    """Parse ``text`` and check every literal denotes a ``field`` element.
-
-    Returns the syntax tree; lower it with :func:`lower_expression` or
-    :func:`lower_univariate`.
+    The code is a list of ``(op, arg)`` pairs, each operator after its
+    operands: ``("const", payload)`` with the literal already converted
+    to a ``field`` payload, ``("var", "X" | "Y")``, ``("neg", None)``,
+    ``("+" | "-" | "*", None)`` and ``("^", m)`` with the exponent tower
+    already folded.  Lower it with :func:`lower_expression` or
+    :func:`lower_univariate`.  Syntax errors take precedence over
+    literals outside the field; of several such literals, the first in
+    the text is reported.
     """
-    parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing[0] != "end":
-        parser.fail("end of input", trailing)
-    for sub_node in _nodes(node):
-        if isinstance(sub_node, Literal):
-            try:
-                field.from_rational(sub_node.numerator, sub_node.denominator)
-            except LiteralNotInFieldError as exc:
-                raise LiteralNotInFieldError(
-                    f"{exc} (byte offset {sub_node.offset})"
-                ) from None
-    return node
+    tokens = _tokenize(text)
+    code = []
+    pending = []  # operators awaiting their right operand, and open "("
+    depth = 0
+    bad_literal = None
+    want_operand = True
+    pos = 0
+    while True:
+        kind, value, offset = tok = tokens[pos]
+        pos += 1
+        if want_operand:
+            if kind == "sym" and value == "-":
+                pending.append("neg")
+                continue
+            if kind == "sym" and value == "(":
+                if depth == MAX_PAREN_DEPTH:
+                    raise ExpressionSyntaxError(
+                        f"parentheses nested deeper than {MAX_PAREN_DEPTH}", offset
+                    )
+                depth += 1
+                pending.append("(")
+                continue
+            if kind == "int":
+                den = 1
+                if tokens[pos][:2] == ("sym", "/"):
+                    den_tok = tokens[pos + 1]
+                    if den_tok[0] != "int":
+                        _fail("an integer denominator", den_tok)
+                    den = den_tok[1]
+                    pos += 2
+                try:
+                    code.append(("const", field.from_rational(value, den)))
+                except LiteralNotInFieldError as exc:
+                    bad_literal = bad_literal or LiteralNotInFieldError(
+                        f"{exc} (byte offset {offset})"
+                    )
+            elif kind == "var":
+                code.append(("var", value))
+            else:
+                _fail("a number, 'X', 'Y', or '('", tok)
+            want_operand = False
+        elif kind == "sym" and value in "+-*":
+            while pending and _PRECEDENCE[pending[-1]] >= _PRECEDENCE[value]:
+                code.append((pending.pop(), None))
+            pending.append(value)
+            want_operand = True
+            continue
+        elif kind == "sym" and value == ")" and depth:
+            while (op := pending.pop()) != "(":
+                code.append((op, None))
+            depth -= 1
+        elif kind == "end" and not depth:
+            break
+        else:
+            _fail("')'" if depth else "end of input", tok)
+        # an atom has just ended: it may carry one exponent tower, which
+        # associates to the right and is folded in the integers
+        tower = []
+        while tokens[pos][:2] == ("sym", "^"):
+            kind, value, offset = tokens[pos + 1]
+            if kind == "sym" and value == "-":
+                raise ExponentNegativeError("exponents must be nonnegative", offset)
+            if kind != "int":
+                _fail("an integer exponent", tokens[pos + 1])
+            tower.append(value)
+            pos += 2
+        if tower:
+            m = 1
+            for e in reversed(tower):
+                m = e**m
+            code.append(("^", m))
+    code.extend((op, None) for op in reversed(pending))
+    if bad_literal:
+        raise bad_literal
+    return code
 
 
-def lower_expression(node, field: Field, x_order: int, y_order: int) -> BiSeries:
-    """Evaluate a syntax tree to a series on the box ``(x_order, y_order)``.
+def lower_expression(code, field: Field, x_order: int, y_order: int) -> BiSeries:
+    """Run postfix ``code`` to a series on the box ``(x_order, y_order)``.
 
     Every intermediate value is a sparse term map ``{(i, j): payload}``
     holding only nonzero, normalized payloads inside the box, and one
@@ -296,51 +209,50 @@ def lower_expression(node, field: Field, x_order: int, y_order: int) -> BiSeries
                 base = product(base, base)
         return result
 
-    values = []  # operands awaiting the node that consumes them
-    for sub_node in _nodes(node):
-        if isinstance(sub_node, Literal):
-            value = field.from_rational(sub_node.numerator, sub_node.denominator)
-            values.append({(0, 0): value} if value else {})
-        elif isinstance(sub_node, Variable):
-            i, j = (1, 0) if sub_node.name == "X" else (0, 1)
+    values = []  # operands awaiting the operator that consumes them
+    for op, arg in code:
+        if op == "const":
+            values.append({(0, 0): arg} if arg else {})
+        elif op == "var":
+            i, j = (1, 0) if arg == "X" else (0, 1)
             values.append({(i, j): 1} if i <= x_order and j <= y_order else {})
-        elif isinstance(sub_node, Negate):
+        elif op == "neg":
             values.append({key: norm(-c) for key, c in values.pop().items()})
-        elif isinstance(sub_node, BinOp) and sub_node.op == "*":
+        elif op == "*":
             right = values.pop()
             values.append(product(values.pop(), right))
-        elif isinstance(sub_node, BinOp):
+        elif op == "^":
+            values.append(power(values.pop(), arg))
+        elif op in ("+", "-"):
             # every map on the stack is unshared: add into the left one in
             # place, so a long sum costs time linear in its terms
             right = values.pop()
             left = values[-1]
-            sign = 1 if sub_node.op == "+" else -1
+            sign = 1 if op == "+" else -1
             for key, c in right.items():
                 c = norm(left.get(key, 0) + sign * c)
                 if c:
                     left[key] = c
                 else:
                     left.pop(key, None)
-        elif isinstance(sub_node, Power):
-            values.append(power(values.pop(), sub_node.exponent))
         else:
-            raise TypeError(f"not an expression node: {sub_node!r}")
+            raise ValueError(f"not a postfix operation: {op!r}")
     terms = [(i, j, c) for (i, j), c in values.pop().items()]
     return BiSeries.from_terms(field, terms, x_order, y_order)
 
 
-def lower_univariate(node, field: Field, order: int) -> UniSeries:
-    """Evaluate a syntax tree in Y alone to a one-variable series.
+def lower_univariate(code, field: Field, order: int) -> UniSeries:
+    """Run postfix ``code`` in Y alone to a one-variable series.
 
     The X variable is rejected with :class:`UnexpectedVariableError`;
     the result is the series in the single remaining variable, truncated
     at ``order``.
     """
-    if Variable("X") in _nodes(node):
+    if ("var", "X") in code:
         raise UnexpectedVariableError(
             "variable X is not allowed in a one-variable expression in Y"
         )
-    grid = lower_expression(node, field, 0, order)
+    grid = lower_expression(code, field, 0, order)
     return UniSeries._raw(field, list(grid._rows[0]))
 
 

@@ -367,8 +367,8 @@ def solve_series(prob: ImplicitProblem, n_max: int, method) -> SolveReport:
 
     The report carries the solution, the m-range the extraction methods
     summed, and the outcome of re-substituting the solution into
-    f = P(X, f).  A root problem Q(X, f) = 0 goes to
-    :func:`furstenberg_solve` directly.
+    f = P(X, f).  Only an :class:`ImplicitProblem` is accepted; for a
+    root problem Q(X, f) = 0 call :func:`furstenberg_solve` instead.
     """
     if not isinstance(method, SolveMethod):
         method = SolveMethod(method)

@@ -1,5 +1,7 @@
 """Expression parsing, lowering onto coefficient grids, and formatting."""
 
+import hashlib
+import itertools
 import operator
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from implicitseries import (
     BiSeries,
     ExponentNegativeError,
     ExpressionSyntaxError,
+    ImplicitSeriesError,
     LiteralNotInFieldError,
     PrimeField,
     RationalField,
@@ -18,15 +21,6 @@ from implicitseries import (
     lower_expression,
     lower_univariate,
     parse_expression,
-)
-
-from implicitseries.expressions import (
-    BinOp,
-    Literal,
-    Negate,
-    Power,
-    Variable,
-    _nodes,
 )
 
 from conftest import FIELDS, make_rng, random_biseries
@@ -153,6 +147,57 @@ def test_multibyte_offsets_are_in_bytes():
         assert str(e.value).endswith(message), text
 
 
+def test_literal_errors_follow_syntax_errors_in_text_order():
+    with pytest.raises(LiteralNotInFieldError) as e:
+        parse_expression("1/3 + 1/0 + 2/0", Q)
+    assert str(e.value) == "literal with denominator zero (byte offset 6)"
+    # the whole text is parsed before a bad literal is reported
+    with pytest.raises(ExpressionSyntaxError) as e:
+        parse_expression("1/0 + (X", Q)
+    assert str(e.value) == "expected ')', found end of input (byte offset 8)"
+
+
+def test_each_literal_converted_once(monkeypatch):
+    calls = []
+    for cls in (RationalField, PrimeField):
+        def counting(self, num, den, original=cls.from_rational):
+            calls.append((num, den))
+            return original(self, num, den)
+
+        monkeypatch.setattr(cls, "from_rational", counting)
+    for field in (Q, F7):
+        calls.clear()
+        code = parse_expression("1/2*Y + 3 - 4*Y^2 + (5*Y)^3 - 6", field)
+        lower_expression(code, field, 3, 3)
+        lower_univariate(code, field, 3)
+        assert calls == [(1, 2), (3, 1), (4, 1), (5, 1), (6, 1)], field
+
+
+# every input of up to four symbols from this alphabet, over q and fp:2
+_SHORT_ALPHABET = "X120()-+*^/ "
+SHORT_INPUTS_DIGEST = (
+    "933a01d26848530f0b4ece11d1afdabb475551d0907c260ae9cab56382e4d7cc"
+)
+
+
+def test_every_short_input_keeps_its_outcome():
+    """One digest over 45242 outcomes: the series lowered on the box
+    (3, 3), or the error class and its message with the byte offset.
+    It was recorded with the recursive-descent parser this module used
+    before, so every syntax error text and offset is pinned."""
+    digest = hashlib.sha256()
+    for field in (Q, F2):
+        for n in range(5):
+            for chars in itertools.product(_SHORT_ALPHABET, repeat=n):
+                text = "".join(chars)
+                try:
+                    outcome = repr(lower(text, field, 3, 3))
+                except ImplicitSeriesError as exc:
+                    outcome = f"{type(exc).__name__}: {exc}"
+                digest.update(f"{field.tag}\0{text}\0{outcome}\n".encode())
+    assert digest.hexdigest() == SHORT_INPUTS_DIGEST
+
+
 # ----------------------------------------------------------------- univariate
 
 def test_lower_univariate():
@@ -170,26 +215,24 @@ def test_lower_univariate():
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def box_lower(node, field, x_order, y_order):
+def box_lower(code, field, x_order, y_order):
     """Lowering as it was first written: every leaf and every intermediate
     value is a full series on the box, combined by series arithmetic.
     Slow, but a direct reading of the quotient-ring semantics."""
     values = []
-    for sub_node in _nodes(node):
-        if isinstance(sub_node, Literal):
-            value = field.from_rational(sub_node.numerator, sub_node.denominator)
-            values.append(BiSeries.monomial(field, value, 0, 0, x_order, y_order))
-        elif isinstance(sub_node, Variable):
-            i, j = (1, 0) if sub_node.name == "X" else (0, 1)
+    for op, arg in code:
+        if op == "const":
+            values.append(BiSeries.monomial(field, arg, 0, 0, x_order, y_order))
+        elif op == "var":
+            i, j = (1, 0) if arg == "X" else (0, 1)
             values.append(BiSeries.monomial(field, 1, i, j, x_order, y_order))
-        elif isinstance(sub_node, Negate):
+        elif op == "neg":
             values.append(-values.pop())
-        elif isinstance(sub_node, BinOp):
-            right = values.pop()
-            values.append(_BINARY[sub_node.op](values.pop(), right))
+        elif op == "^":
+            values.append(values.pop().pow(arg))
         else:
-            assert isinstance(sub_node, Power)
-            values.append(values.pop().pow(sub_node.exponent))
+            right = values.pop()
+            values.append(_BINARY[op](values.pop(), right))
     return values.pop()
 
 
@@ -248,10 +291,10 @@ def test_lowering_matches_box_oracle():
         for _ in range(128):
             text = random_expression_text(rng, field)
             texts.append(text)
-            tree = parse_expression(text, field)
+            code = parse_expression(text, field)
             for nx, ny in ORACLE_BOXES:
-                expected = box_lower(tree, field, nx, ny)
-                assert lower_expression(tree, field, nx, ny) == expected, (
+                expected = box_lower(code, field, nx, ny)
+                assert lower_expression(code, field, nx, ny) == expected, (
                     field, nx, ny, text
                 )
     assert len(texts) >= 500
@@ -304,6 +347,17 @@ def test_parentheses_nest_at_most_100_deep():
             parse_expression("(" * depth + "X" + ")" * depth, Q)
         # the offset is that of the first parenthesis beyond the limit
         assert str(e.value) == "parentheses nested deeper than 100 (byte offset 100)"
+
+
+def test_parentheses_parse_from_a_deep_stack():
+    # the parser keeps its own stack, so the 100 levels it accepts do not
+    # depend on how much of the interpreter's stack the caller has used
+    text = "(" * 100 + "X" + ")" * 100
+
+    def nested(frames):
+        return nested(frames - 1) if frames else parse_expression(text, Q)
+
+    assert lower_expression(nested(900), Q, 2, 0) == lower("X", Q, 2, 0)
 
 
 # ------------------------------------------------------------------ formatting
