@@ -90,7 +90,10 @@ def _series_strings(f: UniSeries) -> list:
 
 
 def _grid_strings(p: BiSeries) -> list:
-    return [[str(c) for c in row] for row in p._rows]
+    grid = [["0"] * (p.y_order + 1) for _ in range(p.x_order + 1)]
+    for i, j, c in p.nonzero_terms():
+        grid[i][j] = str(c)
+    return grid
 
 
 def _coeff_lines(strings) -> list:
@@ -176,10 +179,16 @@ def cmd_verify(args) -> int:
         methods.insert(1, SolveMethod.CHAR0)
     reports = [solve_series(prob, args.order, m) for m in methods]
     baseline = reports[0].solution
-    agree = all(r.solution == baseline for r in reports[1:])
-    residual_zero = all(r.residual_zero for r in reports)
-    if not agree or not residual_zero:
-        print("error: solve methods disagree or leave a residual", file=sys.stderr)
+    for r in reports:
+        if r.solution != baseline:
+            pairs = zip(r.solution._c, baseline._c)
+            n = next(n for n, (a, b) in enumerate(pairs) if a != b)
+            failure = f"{r.method.value} disagrees with theorem at coefficient {n}"
+        elif not r.residual_zero:
+            failure = f"{r.method.value} leaves a nonzero residual"
+        else:
+            continue
+        print(f"error: verify failed: {failure}", file=sys.stderr)
         return 1
     coeffs = _series_strings(baseline)
     names = [m.value for m in methods]

@@ -253,7 +253,7 @@ def lower_univariate(code, field: Field, order: int) -> UniSeries:
             "variable X is not allowed in a one-variable expression in Y"
         )
     grid = lower_expression(code, field, 0, order)
-    return UniSeries._raw(field, list(grid._rows[0]))
+    return UniSeries(field, [grid.coeff(0, j) for j in range(order + 1)])
 
 
 def format_biseries(p: BiSeries) -> str:

@@ -6,15 +6,21 @@ orders ``(Nx, Ny)`` is known modulo the ideal ``(X^(Nx+1), Y^(Ny+1))``.
 Arithmetic requires operands to agree on both the field and the
 truncation orders; callers align shapes explicitly with ``resized``.
 
-Coefficients are stored as raw, normalized field payloads (see
-``fields``) so the hot loops run on plain int/Fraction arithmetic;
-``coeff`` wraps results as :class:`FieldElement`.  Multiplication walks
-the nonzero support of both operands, which keeps polynomial inputs
-(the common case) fast while staying an exact dense convolution.
+Both types store one flat list ``_c`` of raw, normalized field payloads
+(see ``fields``), so the hot loops run on plain int/Fraction arithmetic;
+``coeff`` wraps results as :class:`FieldElement`.  A ``BiSeries`` keeps
+its box row-major, ``_w = y_order + 1`` entries per power of X, so the
+coefficient of ``X^i Y^j`` sits at ``_c[i * _w + j]``; a ``UniSeries``
+is the one-column case ``_w == 1``.  The shared base ``_Series`` holds
+the operand check, ``+``, ``-``, negation, ``==`` and ``hash`` for both.
+Multiplication walks the nonzero support of the operands, which keeps
+polynomial inputs (the common case) fast while staying an exact dense
+convolution.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from math import comb
 
 from .errors import (
@@ -42,7 +48,79 @@ def _binary_pow(base, m: int, one):
     return result
 
 
-class UniSeries:
+def _row_terms(c: list, w: int) -> list:
+    """The nonzero ``(column, payload)`` pairs of each row of the row-major
+    list ``c``, ``w`` entries per row, in column order."""
+    rows = [[] for _ in range(len(c) // w)]
+    for k in compress(range(len(c)), c):
+        rows[k // w].append((k % w, c[k]))
+    return rows
+
+
+class _Series:
+    """Flat coefficient storage and the coefficientwise ring operations.
+
+    Subclasses name their shape for error messages: ``_SHAPES`` is the
+    plural noun and ``_shape()`` the value, e.g. ``orders`` and ``3``.
+    """
+
+    __slots__ = ("field", "_c", "_w")
+
+    @classmethod
+    def _raw(cls, field: Field, coeffs: list, w: int = 1):
+        # internal: coeffs must already be normalized payloads, w per row
+        obj = object.__new__(cls)
+        obj.field = field
+        obj._c = coeffs
+        obj._w = w
+        return obj
+
+    def _check_op(self, other):
+        if not isinstance(other, type(self)):
+            raise TypeError(
+                f"expected a {type(self).__name__}, got {type(other).__name__}"
+            )
+        if other.field != self.field:
+            raise FieldMismatchError(
+                f"series over {self.field.tag} combined with series over {other.field.tag}"
+            )
+        if other._w != self._w or len(other._c) != len(self._c):
+            raise ShapeMismatchError(
+                f"{self._SHAPES} differ: {self._shape()} vs {other._shape()}; "
+                "resize explicitly"
+            )
+
+    def __add__(self, other):
+        self._check_op(other)
+        norm = self.field.normalize
+        return self._raw(
+            self.field, [norm(a + b) for a, b in zip(self._c, other._c)], self._w
+        )
+
+    def __sub__(self, other):
+        self._check_op(other)
+        norm = self.field.normalize
+        return self._raw(
+            self.field, [norm(a - b) for a, b in zip(self._c, other._c)], self._w
+        )
+
+    def __neg__(self):
+        norm = self.field.normalize
+        return self._raw(self.field, [norm(-a) for a in self._c], self._w)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return other.field == self.field and other._w == self._w and other._c == self._c
+
+    def __hash__(self):
+        return hash((self.field, self._w, tuple(self._c)))
+
+
+# perfbench/tracing.py patches traced methods via cls.__dict__: keep them on each class.
+
+
+class UniSeries(_Series):
     """A truncated power series in one variable.
 
     >>> from implicitseries.fields import RationalField
@@ -52,21 +130,15 @@ class UniSeries:
     [FieldElement(q, 1), FieldElement(q, 2), FieldElement(q, 1)]
     """
 
-    __slots__ = ("field", "_c")
+    __slots__ = ()
+    _SHAPES = "orders"
 
     def __init__(self, field: Field, coeffs):
         self.field = field
         self._c = [field.coerce(c) for c in coeffs]
+        self._w = 1
         if not self._c:
             raise ValueError("a series stores at least its constant coefficient")
-
-    @classmethod
-    def _raw(cls, field: Field, coeffs: list) -> "UniSeries":
-        # internal: coeffs must already be normalized payloads
-        obj = object.__new__(cls)
-        obj.field = field
-        obj._c = coeffs
-        return obj
 
     @classmethod
     def zero(cls, field: Field, order: int) -> "UniSeries":
@@ -77,6 +149,9 @@ class UniSeries:
     @property
     def order(self) -> int:
         return len(self._c) - 1
+
+    def _shape(self):
+        return self.order
 
     def coeff(self, n: int) -> FieldElement:
         if not 0 <= n <= self.order:
@@ -90,7 +165,7 @@ class UniSeries:
         return [FieldElement(self.field, c) for c in self._c]
 
     def is_zero(self) -> bool:
-        return all(not c for c in self._c)
+        return not any(self._c)
 
     def resized(self, order: int) -> "UniSeries":
         """Truncate or zero-pad to the given order."""
@@ -100,36 +175,6 @@ class UniSeries:
         if len(c) < order + 1:
             c = c + [0] * (order + 1 - len(c))
         return UniSeries._raw(self.field, c)
-
-    def _check_op(self, other):
-        if not isinstance(other, UniSeries):
-            raise TypeError(f"expected a UniSeries, got {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatchError(
-                f"series over {self.field.tag} combined with series over {other.field.tag}"
-            )
-        if other.order != self.order:
-            raise ShapeMismatchError(
-                f"orders differ: {self.order} vs {other.order}; resize explicitly"
-            )
-
-    def __add__(self, other):
-        self._check_op(other)
-        norm = self.field.normalize
-        return UniSeries._raw(
-            self.field, [norm(a + b) for a, b in zip(self._c, other._c)]
-        )
-
-    def __sub__(self, other):
-        self._check_op(other)
-        norm = self.field.normalize
-        return UniSeries._raw(
-            self.field, [norm(a - b) for a, b in zip(self._c, other._c)]
-        )
-
-    def __neg__(self):
-        norm = self.field.normalize
-        return UniSeries._raw(self.field, [norm(-a) for a in self._c])
 
     def __mul__(self, other):
         self._check_op(other)
@@ -160,55 +205,43 @@ class UniSeries:
             self.field, [norm((k + 1) * c) for k, c in enumerate(self._c[1:])]
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, UniSeries):
-            return NotImplemented
-        return other.field == self.field and other._c == self._c
-
-    def __hash__(self):
-        return hash((self.field, tuple(self._c)))
-
     def __repr__(self):
         return f"UniSeries({self.field.tag}, {self._c!r})"
 
 
-class BiSeries:
+class BiSeries(_Series):
     """A truncated power series in two variables X and Y.
 
-    The grid ``rows[i][j]`` holds the coefficient of ``X^i Y^j`` for
-    ``i <= x_order`` and ``j <= y_order``.
+    The coefficient of ``X^i Y^j``, for ``i <= x_order`` and
+    ``j <= y_order``, is ``_c[i * _w + j]`` with ``_w = y_order + 1``.
+    The constructor takes the box as rows: ``rows[i][j]`` is that
+    coefficient.
     """
 
-    __slots__ = ("field", "_rows")
+    __slots__ = ()
+    _SHAPES = "boxes"
 
     def __init__(self, field: Field, rows):
-        self.field = field
         grid = [[field.coerce(c) for c in row] for row in rows]
         if not grid or not grid[0]:
             raise ValueError("the grid stores at least the constant coefficient")
         width = len(grid[0])
         if any(len(row) != width for row in grid):
             raise ValueError("all grid rows must have equal length")
-        self._rows = grid
-
-    @classmethod
-    def _raw(cls, field: Field, rows: list) -> "BiSeries":
-        # internal: rows must already be rectangular, normalized payloads
-        obj = object.__new__(cls)
-        obj.field = field
-        obj._rows = rows
-        return obj
+        self.field = field
+        self._c = [c for row in grid for c in row]
+        self._w = width
 
     @classmethod
     def zero(cls, field: Field, x_order: int, y_order: int) -> "BiSeries":
         if x_order < 0 or y_order < 0:
             raise ValueError("orders must be >= 0")
-        return cls._raw(field, [[0] * (y_order + 1) for _ in range(x_order + 1)])
+        return cls._raw(field, [0] * ((x_order + 1) * (y_order + 1)), y_order + 1)
 
     @classmethod
     def one(cls, field: Field, x_order: int, y_order: int) -> "BiSeries":
         out = cls.zero(field, x_order, y_order)
-        out._rows[0][0] = 1
+        out._c[0] = 1
         return out
 
     @classmethod
@@ -224,37 +257,39 @@ class BiSeries:
             raise ValueError("monomial exponents must be >= 0")
         out = cls.zero(field, x_order, y_order)
         if i <= x_order and j <= y_order:
-            out._rows[i][j] = field.coerce(value)
+            out._c[i * out._w + j] = field.coerce(value)
         return out
 
     @classmethod
     def from_terms(cls, field: Field, terms, x_order: int, y_order: int) -> "BiSeries":
         """Build a series from ``(i, j, value)`` triples; later terms add."""
         out = cls.zero(field, x_order, y_order)
-        rows = out._rows
+        c, w = out._c, out._w
         norm = field.normalize
         for i, j, value in terms:
             if i < 0 or j < 0:
                 raise ValueError("term exponents must be >= 0")
             if i <= x_order and j <= y_order:
-                rows[i][j] = norm(rows[i][j] + field.coerce(value))
+                c[i * w + j] = norm(c[i * w + j] + field.coerce(value))
         return out
 
     @classmethod
     def from_uniseries(cls, f: UniSeries, y_order: int) -> "BiSeries":
         """Embed a series in X on the box ``(f.order, y_order)``."""
         out = cls.zero(f.field, f.order, y_order)
-        for i, c in enumerate(f._c):
-            out._rows[i][0] = c
+        out._c[:: out._w] = f._c
         return out
 
     @property
     def x_order(self) -> int:
-        return len(self._rows) - 1
+        return len(self._c) // self._w - 1
 
     @property
     def y_order(self) -> int:
-        return len(self._rows[0]) - 1
+        return self._w - 1
+
+    def _shape(self):
+        return (self.x_order, self.y_order)
 
     def coeff(self, i: int, j: int) -> FieldElement:
         if not (0 <= i <= self.x_order and 0 <= j <= self.y_order):
@@ -262,35 +297,24 @@ class BiSeries:
                 f"index ({i}, {j}) outside truncation box "
                 f"({self.x_order}, {self.y_order})"
             )
-        return FieldElement(self.field, self._rows[i][j])
+        return FieldElement(self.field, self._c[i * self._w + j])
 
     def nonzero_terms(self) -> list:
         """All nonzero ``(i, j, payload)`` triples in row-major order."""
-        return [
-            (i, j, c)
-            for i, row in enumerate(self._rows)
-            for j, c in enumerate(row)
-            if c
-        ]
+        c, w = self._c, self._w
+        return [(k // w, k % w, c[k]) for k in compress(range(len(c)), c)]
 
     def is_zero(self) -> bool:
-        return all(not c for row in self._rows for c in row)
+        return not any(self._c)
 
     def resized(self, x_order: int, y_order: int) -> "BiSeries":
         """Truncate or zero-pad each axis to the given orders."""
-        if x_order < 0 or y_order < 0:
-            raise ValueError("orders must be >= 0")
-        rows = []
-        width = y_order + 1
-        for i in range(x_order + 1):
-            if i < len(self._rows):
-                row = self._rows[i][:width]
-                if len(row) < width:
-                    row = row + [0] * (width - len(row))
-            else:
-                row = [0] * width
-            rows.append(row)
-        return BiSeries._raw(self.field, rows)
+        out = BiSeries.zero(self.field, x_order, y_order)
+        w, wo = self._w, out._w
+        keep = min(w, wo)
+        for i in range(min(self.x_order, x_order) + 1):
+            out._c[i * wo : i * wo + keep] = self._c[i * w : i * w + keep]
+        return out
 
     def column(self, j: int) -> UniSeries:
         """The coefficient of ``Y^j`` as a series in X."""
@@ -298,68 +322,31 @@ class BiSeries:
             raise IndexOutOfTruncationError(
                 f"column {j} outside truncation order {self.y_order}"
             )
-        return UniSeries._raw(self.field, [row[j] for row in self._rows])
-
-    def _check_op(self, other):
-        if not isinstance(other, BiSeries):
-            raise TypeError(f"expected a BiSeries, got {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatchError(
-                f"series over {self.field.tag} combined with series over {other.field.tag}"
-            )
-        if other.x_order != self.x_order or other.y_order != self.y_order:
-            raise ShapeMismatchError(
-                f"boxes differ: ({self.x_order}, {self.y_order}) vs "
-                f"({other.x_order}, {other.y_order}); resize explicitly"
-            )
-
-    def __add__(self, other):
-        self._check_op(other)
-        norm = self.field.normalize
-        return BiSeries._raw(
-            self.field,
-            [
-                [norm(a + b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._rows, other._rows)
-            ],
-        )
-
-    def __sub__(self, other):
-        self._check_op(other)
-        norm = self.field.normalize
-        return BiSeries._raw(
-            self.field,
-            [
-                [norm(a - b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._rows, other._rows)
-            ],
-        )
-
-    def __neg__(self):
-        norm = self.field.normalize
-        return BiSeries._raw(
-            self.field, [[norm(-a) for a in row] for row in self._rows]
-        )
+        return UniSeries._raw(self.field, self._c[j :: self._w])
 
     def __mul__(self, other):
         self._check_op(other)
-        nx, ny = self.x_order, self.y_order
-        out = [[0] * (ny + 1) for _ in range(nx + 1)]
-        a_terms = self.nonzero_terms()
-        b_terms = other.nonzero_terms()
-        if a_terms and b_terms:
-            if len(b_terms) < len(a_terms):
-                a_terms, b_terms = b_terms, a_terms
-            for ia, ja, ca in a_terms:
-                xcap = nx - ia
-                ycap = ny - ja
-                for ib, jb, cb in b_terms:
-                    if ib <= xcap and jb <= ycap:
-                        out[ia + ib][ja + jb] += ca * cb
+        w = self._w
+        size = len(self._c)
+        a_by_row, b_by_row = _row_terms(self._c, w), _row_terms(other._c, w)
+        if sum(map(len, b_by_row)) < sum(map(len, a_by_row)):
+            # the sparser factor drives the outer loop
+            a_by_row, b_by_row = b_by_row, a_by_row
+        out = [0] * size
+        for k, a_row in zip(range(0, size, w), a_by_row):
+            for ja, ca in a_row:
+                ycap = w - 1 - ja
+                # this term times each row of b lands from flat index
+                # ``base`` on; the walk stops once that row leaves the box
+                for base, b_row in zip(range(k + ja, size, w), b_by_row):
+                    for jb, cb in b_row:
+                        if jb > ycap:
+                            break
+                        out[base + jb] += ca * cb
         if self.field.characteristic:
             norm = self.field.normalize
-            out = [[norm(v) for v in row] for row in out]
-        return BiSeries._raw(self.field, out)
+            out = [norm(v) for v in out]
+        return BiSeries._raw(self.field, out, w)
 
     def pow(self, m: int) -> "BiSeries":
         """Truncated m-th power, by binary exponentiation.
@@ -375,14 +362,9 @@ class BiSeries:
         A series with ``y_order == 0`` maps to the zero series on the
         same box, there being no lower row to move to.
         """
-        ny = self.y_order
-        if ny == 0:
+        if self.y_order == 0:
             return BiSeries.zero(self.field, self.x_order, 0)
-        norm = self.field.normalize
-        return BiSeries._raw(
-            self.field,
-            [[norm((j + 1) * row[j + 1]) for j in range(ny)] for row in self._rows],
-        )
+        return self.hasse_derivative(1)
 
     def hasse_derivative(self, m: int) -> "BiSeries":
         """The m-th Hasse derivative in Y.
@@ -403,14 +385,13 @@ class BiSeries:
         if m == 0:
             return self
         norm = self.field.normalize
-        width = ny - m + 1
-        binom = [comb(j + m, m) for j in range(width)]
+        c, w = self._c, self._w
+        binom = [comb(j + m, m) for j in range(w - m)]
+        row_starts = range(0, len(c), w)
         return BiSeries._raw(
             self.field,
-            [
-                [norm(binom[j] * row_[j + m]) for j in range(width)]
-                for row_ in self._rows
-            ],
+            [norm(b * c[k + m + j]) for k in row_starts for j, b in enumerate(binom)],
+            w - m,
         )
 
     def subst_y(self, f: UniSeries) -> UniSeries:
@@ -438,7 +419,7 @@ class BiSeries:
         # all-zero top columns contribute nothing; start at the highest
         # nonzero one (lowering often leaves many above the support)
         top = self.y_order
-        while top and not any(row[top] for row in self._rows):
+        while top and not any(self._c[top :: self._w]):
             top -= 1
         acc = self.column(top)
         for j in range(top - 1, -1, -1):
@@ -449,14 +430,12 @@ class BiSeries:
         """Substitute ``X -> X*Y``: the term ``X^i Y^j`` moves to
         ``X^i Y^(i+j)``.  The output box is ``(x_order, x_order + y_order)``.
         """
-        nx, ny = self.x_order, self.y_order
-        out = [[0] * (nx + ny + 1) for _ in range(nx + 1)]
-        for i, row in enumerate(self._rows):
-            orow = out[i]
-            for j, c in enumerate(row):
-                if c:
-                    orow[i + j] = c
-        return BiSeries._raw(self.field, out)
+        nx, w = self.x_order, self._w
+        out = BiSeries.zero(self.field, nx, nx + self.y_order)
+        wo = out._w
+        for i in range(nx + 1):
+            out._c[i * wo + i : i * wo + i + w] = self._c[i * w : i * w + w]
+        return out
 
     def reciprocal(self) -> "BiSeries":
         """Multiplicative inverse on the same box.
@@ -465,46 +444,41 @@ class BiSeries:
         the standard convolution recurrence, so ``u * u.reciprocal()``
         is exactly one on the box.
         """
-        c00 = self._rows[0][0]
-        if not c00:
+        c = self._c
+        if not c[0]:
             raise NotAUnitError("constant term is zero, series is not a unit")
         field = self.field
-        r = field.invert(c00)
-        nx, ny = self.x_order, self.y_order
-        terms = [(i, j, c) for (i, j, c) in self.nonzero_terms() if i or j]
+        r = field.invert(c[0])
+        w = self._w
+        # (flat index, column, payload) of the non-constant terms; a term
+        # X^k Y^l reaches cell X^i Y^j when its flat index is at most the
+        # cell's and l <= j (which then forces k <= i)
+        terms = [(t, t % w, c[t]) for t in compress(range(len(c)), c) if t]
         norm = field.normalize
         char = field.characteristic
-        v = [[0] * (ny + 1) for _ in range(nx + 1)]
-        v[0][0] = r
-        for i in range(nx + 1):
-            vi = v[i]
-            for j in range(ny + 1):
-                if i == 0 and j == 0:
-                    continue
-                s = 0
-                for k, l, c in terms:
-                    if k <= i and l <= j:
-                        w = v[i - k][j - l]
-                        if w:
-                            s += c * w
-                if s:
-                    val = -(r * s)
-                    vi[j] = norm(val) if char else val
-        return BiSeries._raw(field, v)
+        v = [0] * len(c)
+        v[0] = r
+        for p in range(1, len(c)):
+            j = p % w
+            s = 0
+            for t, l, ct in terms:
+                if t > p:
+                    break
+                if l <= j:
+                    x = v[p - t]
+                    if x:
+                        s += ct * x
+            if s:
+                val = -(r * s)
+                v[p] = norm(val) if char else val
+        return BiSeries._raw(field, v, w)
 
     def diagonal(self) -> UniSeries:
         """The series of coefficients of ``X^n Y^n``, one variable, up to
         order ``min(x_order, y_order)``."""
         top = min(self.x_order, self.y_order)
-        return UniSeries._raw(self.field, [self._rows[n][n] for n in range(top + 1)])
-
-    def __eq__(self, other):
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        return other.field == self.field and other._rows == self._rows
-
-    def __hash__(self):
-        return hash((self.field, tuple(tuple(r) for r in self._rows)))
+        step = self._w + 1
+        return UniSeries._raw(self.field, self._c[: top * step + 1 : step])
 
     def __repr__(self):
         return (

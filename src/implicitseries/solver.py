@@ -73,9 +73,9 @@ class ImplicitProblem:
     __slots__ = ("field", "p", "is_polynomial")
 
     def __init__(self, p: BiSeries, *, is_polynomial: bool = True):
-        if p._rows[0][0]:
+        if p.coeff(0, 0):
             raise NonzeroConstantTermError("P(0, 0) must vanish")
-        if p.y_order >= 1 and p._rows[0][1]:
+        if p.y_order >= 1 and p.coeff(0, 1):
             raise NonzeroLinearYTermError(
                 "the coefficient of Y in P(0, Y) must vanish"
             )
@@ -97,9 +97,9 @@ class RootProblem:
     __slots__ = ("field", "q")
 
     def __init__(self, q: BiSeries):
-        if q._rows[0][0]:
+        if q.coeff(0, 0):
             raise NonzeroConstantTermError("Q(0, 0) must vanish")
-        if q.y_order < 1 or not q._rows[0][1]:
+        if q.y_order < 1 or not q.coeff(0, 1):
             raise ZeroLinearYTermError(
                 "the coefficient of Y in Q(0, Y) must be nonzero"
             )
@@ -190,6 +190,11 @@ def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
         d = BiSeries.one(field, n_max, m_top - 1) - work.partial_y()
         d_terms = d.nonzero_terms()
     factor = work.resized(n_max, m_top - 1)
+    # the inner loop reads each power's flat row-major list directly, for
+    # speed: X^i Y^j sits at i * width + j, so the cell a term X^a Y^b of D
+    # pairs with lies ``off`` entries before the target cell
+    width = factor._w
+    d_terms = [(a, b, c, a * width + b) for a, b, c in d_terms]
     cur = factor
     m_stop = m_top
     for m in range(1, m_top + 1):
@@ -197,12 +202,13 @@ def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
         n_lo_sum = (m + 2) // 2  # smallest n with m <= 2n - 1
         n_lo = max(1, (m + 2 - extra_m) // 2)
         w = Fraction(1, m) if char_zero_form else 1
-        rows = cur._rows
+        flat = cur._c
         for n in range(n_lo, n_max + 1):
             s = 0
-            for a, b, c in d_terms:
+            cell = n * width + col
+            for a, b, c, off in d_terms:
                 if a <= n and b <= col:
-                    v = rows[n - a][col - b]
+                    v = flat[cell - off]
                     if v:
                         s += c * v
             if s:
@@ -309,14 +315,8 @@ def factor_out_root(rp: RootProblem, f: UniSeries) -> BiSeries:
         raise NotARootError(
             "substituting the claimed root into Q leaves a nonzero remainder"
         )
-    rows = [[r[j]._c[i] for j in range(ny)] for i in range(nx + 1)]
-    return BiSeries._raw(q.field, rows)
-
-
-def _drop_y_factor(t: BiSeries) -> BiSeries:
-    # divide by Y; every column-0 entry is structurally zero here
-    assert all(row[0] == 0 for row in t._rows)
-    return BiSeries._raw(t.field, [row[1:] for row in t._rows])
+    terms = [(i, j, c) for j, col in enumerate(r) for i, c in enumerate(col._c) if c]
+    return BiSeries.from_terms(q.field, terms, nx, ny - 1)
 
 
 def furstenberg_solve(rp: RootProblem, n_max: int) -> UniSeries:
@@ -337,8 +337,10 @@ def furstenberg_solve(rp: RootProblem, n_max: int) -> UniSeries:
     q = rp.q
     _require_box(q, n_max, n_max, "Q")
     qw = q.resized(n_max, n_max)
-    shifted = qw.subst_x_times_y()  # box (n_max, 2 * n_max)
-    unit = _drop_y_factor(shifted)  # constant term q01, invertible
+    # Q(XY, Y) / Y: X^i Y^j moves to X^i Y^(i+j-1), and i + j >= 1 since
+    # Q(0, 0) = 0; the constant term q01 is invertible
+    shifted = [(i, i + j - 1, c) for i, j, c in qw.nonzero_terms()]
+    unit = BiSeries.from_terms(field, shifted, n_max, 2 * n_max - 1)
     numer = qw.partial_y().subst_x_times_y()  # box (n_max, 2 * n_max - 1)
     g = numer * unit.reciprocal()
     y = BiSeries.monomial(field, 1, 0, 1, n_max, 2 * n_max - 1)
@@ -391,4 +393,8 @@ def solve_series(prob: ImplicitProblem, n_max: int, method) -> SolveReport:
         sums, _, m_stop = _extraction_vectors(prob, n_max, char_zero_form=char0)
         f = UniSeries._raw(prob.field, sums)
         m_terms = tuple(range(1, m_stop + 1))
+    if not prob.field.characteristic:
+        # the product loops skip normalizing over Q: land integral
+        # Fraction payloads back on ints, whichever method ran
+        f = UniSeries(prob.field, f._c)
     return SolveReport(method, f, _implicit_residual_zero(prob, f), m_terms)

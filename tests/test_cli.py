@@ -1,5 +1,6 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from implicitseries import UniSeries, cli
 from implicitseries.cli import main
 
 
@@ -298,6 +300,35 @@ def test_bad_literal_exits_1(capsys):
         err
         == "error: denominator 2 is divisible by the characteristic 2 (byte offset 4)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        ("fixpoint", "fixpoint disagrees with theorem at coefficient 3"),
+        ("furstenberg", "furstenberg leaves a nonzero residual"),
+    ],
+    ids=["disagreement", "residual"],
+)
+def test_verify_names_the_failing_method(capsys, monkeypatch, broken, message):
+    real = cli.solve_series
+
+    def solve_with_one_fault(prob, n_max, method):
+        report = real(prob, n_max, method)
+        if method.value != broken:
+            return report
+        if broken == "furstenberg":
+            return dataclasses.replace(report, residual_zero=False)
+        coeffs = report.solution.coefficients()
+        coeffs[3] += 1
+        return dataclasses.replace(report, solution=UniSeries(prob.field, coeffs))
+
+    monkeypatch.setattr(cli, "solve_series", solve_with_one_fault)
+    code, out, err = run_cli(
+        capsys, "verify", "--field", "q", "--poly", "X + Y^2", "--order", "5"
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: verify failed: {message}\n"
 
 
 def test_factor_without_linear_y_term_exits_1(capsys):

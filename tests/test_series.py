@@ -18,7 +18,7 @@ from implicitseries import (
     UniSeries,
 )
 
-from conftest import FIELDS, make_rng, random_biseries, random_uniseries
+from conftest import FIELDS, make_rng, random_biseries, random_uniseries, random_value
 
 Q = RationalField()
 
@@ -153,6 +153,45 @@ def test_biseries_resized_and_shape_checks():
         p * UniSeries(Q, [1])
 
 
+def _sparse_or_dense_biseries(rng, field, nx, ny):
+    if rng.random() < 0.5:
+        return random_biseries(rng, field, nx, ny)
+    terms = [
+        (rng.randint(0, nx), rng.randint(0, ny), random_value(rng, field))
+        for _ in range(rng.randint(0, 3))
+    ]
+    return BiSeries.from_terms(field, terms, nx, ny)
+
+
+def test_products_match_the_textbook_convolution():
+    # both kernels against the double loop over the coefficients, cut to
+    # the box, on empty-width, empty-height and non-square boxes
+    rng = make_rng("mul-definition")
+    for field in FIELDS:
+        boxes = [(0, 0), (0, 5), (5, 0), (1, 6), (6, 1), (2, 4), (4, 2)]
+        boxes += [(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(8)]
+        for nx, ny in boxes:
+            a = _sparse_or_dense_biseries(rng, field, nx, ny)
+            b = _sparse_or_dense_biseries(rng, field, nx, ny)
+            expected = BiSeries.from_terms(
+                field,
+                [
+                    (i + k, j + l, c * d)
+                    for i, j, c in a.nonzero_terms()
+                    for k, l, d in b.nonzero_terms()
+                    if i + k <= nx and j + l <= ny
+                ],
+                nx,
+                ny,
+            )
+            assert a * b == expected
+            u, v = a.column(0), b.column(ny)
+            assert (u * v).coefficients() == [
+                sum(u.coeff(i) * v.coeff(n - i) for i in range(n + 1))
+                for n in range(nx + 1)
+            ]
+
+
 def test_biseries_ring_axioms_randomized():
     rng = make_rng("bi-ring")
     for field in FIELDS:
@@ -202,7 +241,7 @@ def test_hasse_derivative_examples_and_guards():
     # (1+Y)^4: second Hasse derivative is binom(4,2)(1+Y)^2 = 6(1+Y)^2
     p = BiSeries.from_terms(Q, [(0, j, math.comb(4, j)) for j in range(5)], 0, 4)
     h = p.hasse_derivative(2)
-    assert h._rows[0] == [6, 12, 6]
+    assert h.y_order == 2 and [h.coeff(0, j) for j in range(3)] == [6, 12, 6]
     # over GF(2) the same derivative vanishes; the plain second
     # derivative could not even be normalized by 2! there
     f2 = PrimeField(2)
@@ -332,7 +371,7 @@ def test_reciprocal_randomized_and_guards():
             nx = rng.randint(0, 4)
             ny = rng.randint(0, 4)
             u = random_biseries(rng, field, nx, ny)
-            if not u._rows[0][0]:
+            if not u.coeff(0, 0):
                 with pytest.raises(NotAUnitError):
                     u.reciprocal()
                 u = u + BiSeries.one(field, nx, ny)
@@ -352,3 +391,8 @@ def test_grid_equality_includes_box():
     assert a != a.resized(1, 2)
     assert a == BiSeries.from_terms(Q, [(0, 1, 1)], 1, 1)
     assert hash(a) == hash(BiSeries.from_terms(Q, [(0, 1, Fraction(2, 2))], 1, 1))
+    # both boxes hold 8 cells: only the row width tells them apart
+    tall, wide = BiSeries.zero(Q, 1, 3), BiSeries.zero(Q, 3, 1)
+    assert tall != wide
+    with pytest.raises(ShapeMismatchError, match=r"^boxes differ: \(1, 3\) vs \(3, 1\)"):
+        tall + wide

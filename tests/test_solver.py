@@ -174,8 +174,8 @@ def test_per_m_term_groups_differ_but_totals_agree():
     cur = base
     general, weighted = [], []
     for m in range(1, m_top + 1):
-        general.append((d * cur)._rows[n][m - 1])
-        weighted.append(Fraction(1, m) * cur._rows[n][m - 1])
+        general.append((d * cur).coeff(n, m - 1).value)
+        weighted.append(Fraction(1, m) * cur.coeff(n, m - 1).value)
         cur = cur * base
     assert general == [0, 0, 0, 0, 0, -30, 35]
     assert weighted == [0, 0, 0, 0, 0, 0, 5]
@@ -375,6 +375,13 @@ def test_solve_series_catalan_all_methods():
             assert report.m_terms_used == tuple(range(1, 12))
         else:
             assert report.m_terms_used == ()
+
+
+def test_every_method_returns_integral_rationals_as_ints():
+    # P = 2X + Y^2/2: the product loops leave Fraction(k, 1) payloads
+    p = BiSeries.from_terms(Q, [(1, 0, 2), (0, 2, Fraction(1, 2))], 4, 7)
+    reprs = {repr(solve_series(ImplicitProblem(p), 4, m).solution) for m in SolveMethod}
+    assert reprs == {"UniSeries(q, [0, 2, 2, 4, 10])"}
 
 
 def test_solve_series_accepts_method_strings():
