@@ -6,9 +6,11 @@ principal diagonal of the bivariate rational series
 
     Y * d/dY Q(XY, Y)  /  ( Q(XY, Y) / Y )
 
-— no iteration, just one series division and a diagonal walk.  This demo
-uses it to compute Motzkin numbers: unary-binary trees satisfy
-g = X + X*g + X*g^2, i.e. Q(X, Y) = Y - X - X*Y - X*Y^2.
+— no iteration: [X^n] f is the coefficient of X^n Y^(n-1) in the single
+exact quotient  d/dY Q(XY, Y) / (Q(XY, Y) / Y),  computed on the box
+(n, n - 1) where nothing else is read.  This demo uses it to compute
+Motzkin numbers: unary-binary trees satisfy g = X + X*g + X*g^2, i.e.
+Q(X, Y) = Y - X - X*Y - X*Y^2.
 """
 
 from implicitseries import (

@@ -356,16 +356,6 @@ class BiSeries(_Series):
         """
         return _binary_pow(self, m, BiSeries.one(self.field, self.x_order, self.y_order))
 
-    def partial_y(self) -> "BiSeries":
-        """Ordinary partial derivative in Y; y_order drops by one.
-
-        A series with ``y_order == 0`` maps to the zero series on the
-        same box, there being no lower row to move to.
-        """
-        if self.y_order == 0:
-            return BiSeries.zero(self.field, self.x_order, 0)
-        return self.hasse_derivative(1)
-
     def hasse_derivative(self, m: int) -> "BiSeries":
         """The m-th Hasse derivative in Y.
 
@@ -426,52 +416,44 @@ class BiSeries(_Series):
             acc = acc * fx + self.column(j)
         return acc
 
-    def subst_x_times_y(self) -> "BiSeries":
-        """Substitute ``X -> X*Y``: the term ``X^i Y^j`` moves to
-        ``X^i Y^(i+j)``.  The output box is ``(x_order, x_order + y_order)``.
-        """
-        nx, w = self.x_order, self._w
-        out = BiSeries.zero(self.field, nx, nx + self.y_order)
-        wo = out._w
-        for i in range(nx + 1):
-            out._c[i * wo + i : i * wo + i + w] = self._c[i * w : i * w + w]
-        return out
+    def __truediv__(self, other):
+        """The exact quotient ``self / other`` on the same box.
 
-    def reciprocal(self) -> "BiSeries":
-        """Multiplicative inverse on the same box.
-
-        The constant term must be a unit; the inverse is produced by
-        the standard convolution recurrence, so ``u * u.reciprocal()``
-        is exactly one on the box.
+        The divisor's constant term must be a unit.  Starting from the
+        dividend, the cells are solved in row-major order from
+        ``other * q == self``, so ``other * (self / other)`` is exactly
+        ``self`` on the box.  Over Q integral quotients are stored as
+        ints.
         """
-        c = self._c
+        self._check_op(other)
+        c = other._c
         if not c[0]:
             raise NotAUnitError("constant term is zero, series is not a unit")
         field = self.field
         r = field.invert(c[0])
         w = self._w
-        # (flat index, column, payload) of the non-constant terms; a term
-        # X^k Y^l reaches cell X^i Y^j when its flat index is at most the
-        # cell's and l <= j (which then forces k <= i)
+        # (flat index, column, payload) of the divisor's non-constant
+        # terms; a term X^k Y^l reaches cell X^i Y^j when its flat index
+        # is at most the cell's and l <= j (which then forces k <= i)
         terms = [(t, t % w, c[t]) for t in compress(range(len(c)), c) if t]
-        norm = field.normalize
-        char = field.characteristic
-        v = [0] * len(c)
-        v[0] = r
-        for p in range(1, len(c)):
+        norm = field.normalize if field.characteristic else field.coerce
+        v = list(self._c)
+        for p in range(len(v)):
             j = p % w
-            s = 0
+            s = v[p]
             for t, l, ct in terms:
                 if t > p:
                     break
                 if l <= j:
                     x = v[p - t]
                     if x:
-                        s += ct * x
-            if s:
-                val = -(r * s)
-                v[p] = norm(val) if char else val
+                        s -= ct * x
+            v[p] = norm(r * s) if s else 0
         return BiSeries._raw(field, v, w)
+
+    def reciprocal(self) -> "BiSeries":
+        """Multiplicative inverse on the same box: ``one / self``."""
+        return BiSeries.one(self.field, self.x_order, self.y_order) / self
 
     def diagonal(self) -> UniSeries:
         """The series of coefficients of ``X^n Y^n``, one variable, up to

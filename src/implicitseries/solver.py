@@ -14,7 +14,8 @@ coefficients plus the surrounding machinery:
   term by 1/m and drops the derivative factor.
 * ``furstenberg`` (``furstenberg_solve``): reads the root of
   Q(X, Y) = 0 off the main diagonal of a rational bivariate series,
-  after the substitution X -> X*Y.
+  after the substitution X -> X*Y; the diagonal entries come from one
+  exact quotient (``BiSeries`` ``/``) on the box (n, n - 1).
 
 ``solve_series`` is the single entry point that runs any of them on an
 ``ImplicitProblem`` and re-substitutes the result into its equation;
@@ -138,10 +139,10 @@ def solve_fixed_point(prob: ImplicitProblem, n_max: int) -> UniSeries:
     """Solve by iterating f <- P(X, f) from f = 0.
 
     The iteration is a contraction for the X-adic distance: each pass
-    fixes at least one further coefficient, so ``n_max + 1`` rounds
-    always suffice and the loop stops as soon as two successive
-    iterates agree.  This is the designated ground truth for the other
-    methods.
+    fixes at least one further coefficient.  ``f = 0`` is already right
+    through order 0, so ``n_max`` rounds suffice, and the loop stops as
+    soon as two successive iterates agree.  This is the designated
+    ground truth for the other methods.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -150,7 +151,7 @@ def solve_fixed_point(prob: ImplicitProblem, n_max: int) -> UniSeries:
         _require_box(p, n_max, n_max)
     work = p.resized(n_max, min(p.y_order, n_max))
     f = UniSeries.zero(prob.field, n_max)
-    for _ in range(n_max + 1):
+    for _ in range(n_max):
         nxt = work.subst_y(f)
         if nxt == f:
             break
@@ -187,7 +188,7 @@ def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
     if char_zero_form:
         d_terms = [(0, 0, 1)]  # no derivative factor; weight 1/m instead
     else:
-        d = BiSeries.one(field, n_max, m_top - 1) - work.partial_y()
+        d = BiSeries.one(field, n_max, m_top - 1) - work.hasse_derivative(1)
         d_terms = d.nonzero_terms()
     factor = work.resized(n_max, m_top - 1)
     # the inner loop reads each power's flat row-major list directly, for
@@ -325,9 +326,11 @@ def furstenberg_solve(rp: RootProblem, n_max: int) -> UniSeries:
     After the substitution X -> X*Y the root becomes readable off the
     main diagonal:  f = diag(Y * dQ/dY(XY, Y) / Q(XY, Y)), where one
     factor of Y cancels against Q(XY, Y) (whose terms all carry Y) so
-    the division is by a genuine unit.  Internal boxes have y-order up
-    to 2 * n_max, which keeps every diagonal entry through n_max exact.
-    Requires q stored on a box of at least (n_max, n_max).
+    the division is by a genuine unit.  [X^k] f is then [X^k Y^(k-1)]
+    of the quotient g, and truncation modulo (X^(n_max+1), Y^n_max) is
+    a ring map, so numerator, unit and g all live on the box
+    (n_max, n_max - 1) and g is one exact quotient there.  Requires q
+    stored on a box of at least (n_max, n_max).
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -336,15 +339,19 @@ def furstenberg_solve(rp: RootProblem, n_max: int) -> UniSeries:
         return UniSeries.zero(field, 0)
     q = rp.q
     _require_box(q, n_max, n_max, "Q")
-    qw = q.resized(n_max, n_max)
-    # Q(XY, Y) / Y: X^i Y^j moves to X^i Y^(i+j-1), and i + j >= 1 since
-    # Q(0, 0) = 0; the constant term q01 is invertible
-    shifted = [(i, i + j - 1, c) for i, j, c in qw.nonzero_terms()]
-    unit = BiSeries.from_terms(field, shifted, n_max, 2 * n_max - 1)
-    numer = qw.partial_y().subst_x_times_y()  # box (n_max, 2 * n_max - 1)
-    g = numer * unit.reciprocal()
-    y = BiSeries.monomial(field, 1, 0, 1, n_max, 2 * n_max - 1)
-    return (y * g).diagonal().resized(n_max)
+    # Q(XY, Y) / Y and dQ/dY(XY, Y) both move X^i Y^j to X^i Y^(i+j-1),
+    # where i + j >= 1 since Q(0, 0) = 0; the unit's constant term is the
+    # invertible q01, and from_terms drops what falls outside the box
+    terms = q.nonzero_terms()
+    unit = BiSeries.from_terms(
+        field, [(i, i + j - 1, c) for i, j, c in terms], n_max, n_max - 1
+    )
+    numer = BiSeries.from_terms(
+        field, [(i, i + j - 1, j * c) for i, j, c in terms if j], n_max, n_max - 1
+    )
+    g = numer / unit
+    # X^k Y^(k-1) sits at flat index k * n_max + k - 1
+    return UniSeries._raw(field, [0] + g._c[n_max :: n_max + 1])
 
 
 def _implicit_residual_zero(prob: ImplicitProblem, f: UniSeries) -> bool:

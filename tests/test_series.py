@@ -212,15 +212,6 @@ def test_biseries_ring_axioms_randomized():
             assert a * BiSeries.one(field, nx, ny) == a
 
 
-def test_partial_y():
-    p = BiSeries.from_terms(Q, [(0, 1, 1), (1, 2, 3), (2, 0, 9)], 2, 2)
-    d = p.partial_y()
-    assert d.x_order == 2 and d.y_order == 1
-    assert d.nonzero_terms() == [(0, 0, 1), (1, 1, 6)]
-    flat = BiSeries.from_terms(Q, [(2, 0, 9)], 2, 0)
-    assert flat.partial_y() == BiSeries.zero(Q, 2, 0)
-
-
 def test_hasse_derivative_matches_binomial_rule():
     rng = make_rng("hasse-binomial")
     for field in FIELDS:
@@ -270,16 +261,6 @@ def test_hasse_composition_law():
             scale = BiSeries.monomial(field, math.comb(k + m, m), 0, 0, 2, ny - k - m)
             rhs = p.hasse_derivative(k + m) * scale
             assert lhs == rhs
-
-
-def test_partial_y_is_first_hasse_derivative():
-    rng = make_rng("hasse-one")
-    for field in FIELDS:
-        for _ in range(30):
-            # restricted to y_order >= 1: partial_y of a Y-free series is
-            # its zero series, while hasse_derivative(1) is out of range
-            p = random_biseries(rng, field, 3, rng.randint(1, 5))
-            assert p.partial_y() == p.hasse_derivative(1)
 
 
 def test_multinomial_collapse_identity():
@@ -337,16 +318,6 @@ def test_subst_y_agrees_with_term_expansion():
             assert direct == total
 
 
-def test_subst_x_times_y():
-    p = BiSeries.from_terms(Q, [(1, 0, 1), (0, 2, 1), (2, 1, 7)], 2, 2)
-    t = p.subst_x_times_y()
-    assert t.x_order == 2 and t.y_order == 4
-    assert t.nonzero_terms() == [(0, 2, 1), (1, 1, 1), (2, 3, 7)]
-    # the diagonal of g(XY) embedded with y_order 0 recovers g itself
-    g = UniSeries(Q, [3, 1, 4, 1, 5])
-    assert BiSeries.from_uniseries(g, 0).subst_x_times_y().diagonal() == g
-
-
 def test_reciprocal_geometric_grid():
     # 1/(1 - X - Y): the coefficient grid is the Pascal table binom(i+j, i)
     u = BiSeries.from_terms(Q, [(0, 0, 1), (1, 0, -1), (0, 1, -1)], 6, 6)
@@ -378,6 +349,38 @@ def test_reciprocal_randomized_and_guards():
             assert u * u.reciprocal() == BiSeries.one(field, nx, ny)
     with pytest.raises(NotAUnitError):
         BiSeries.from_terms(Q, [(1, 0, 1)], 2, 2).reciprocal()
+
+
+def test_quotient_randomized_and_guards():
+    rng = make_rng("quotient")
+    boxes = [(0, 0), (0, 3), (4, 0), (1, 5), (5, 2)]
+    for field in FIELDS:
+        for _ in range(25):
+            nx, ny = rng.choice(boxes + [(rng.randint(0, 4), rng.randint(0, 4))])
+            a = random_biseries(rng, field, nx, ny)
+            u = random_biseries(rng, field, nx, ny)
+            if not u.coeff(0, 0):
+                with pytest.raises(NotAUnitError):
+                    a / u
+                u = u + BiSeries.one(field, nx, ny)
+            assert u * (a / u) == a
+            with pytest.raises(ShapeMismatchError):
+                a / u.resized(nx + 1, ny)
+    with pytest.raises(NotAUnitError):
+        BiSeries.one(Q, 2, 2) / BiSeries.from_terms(Q, [(1, 0, 1)], 2, 2)
+    with pytest.raises(TypeError):
+        BiSeries.one(Q, 1, 1) / 2
+
+
+def test_quotient_stores_integral_rationals_as_ints():
+    u = BiSeries.from_terms(Q, [(0, 0, 2), (1, 0, 4), (0, 1, 2)], 2, 2)
+    a = BiSeries.from_terms(Q, [(0, 0, 1), (2, 2, Fraction(1, 3))], 2, 2)
+    for result in (u.reciprocal(), a / u, (u * u) / u):
+        assert result.nonzero_terms()
+        assert not any(
+            isinstance(c, Fraction) and c.denominator == 1 for c in result._c
+        )
+    assert (u * u) / u == u
 
 
 def test_diagonal():

@@ -169,7 +169,7 @@ def test_per_m_term_groups_differ_but_totals_agree():
     m_top = 2 * n - 1
     p = BiSeries.from_terms(Q, [(1, 0, 1), (0, 2, 1)], n, m_top)
     work = p.resized(n, m_top)
-    d = BiSeries.one(Q, n, m_top - 1) - work.partial_y()
+    d = BiSeries.one(Q, n, m_top - 1) - work.hasse_derivative(1)
     base = work.resized(n, m_top - 1)
     cur = base
     general, weighted = [], []
@@ -362,7 +362,52 @@ def test_furstenberg_matches_oracle_randomized():
             assert rp.q.subst_y(f).is_zero()
 
 
+def test_furstenberg_is_one_quotient(monkeypatch):
+    # the root is read off one exact quotient: no product, no reciprocal
+    def forbidden(*args):
+        raise AssertionError("furstenberg_solve must not multiply or invert")
+
+    q = BiSeries.from_terms(Q, [(0, 1, 1), (1, 0, -1), (0, 2, -1)], 6, 6)
+    monkeypatch.setattr(BiSeries, "__mul__", forbidden)
+    monkeypatch.setattr(BiSeries, "reciprocal", forbidden)
+    assert furstenberg_solve(RootProblem(q), 6)._c == [0, 1, 1, 2, 5, 14, 42]
+
+
+def test_furstenberg_non_unit_linear_term_and_large_box():
+    # Q = q01 * (Y - P) for a random implicit P, stored on a box larger
+    # than needed; its root is the fixed point of P
+    rng = make_rng("furstenberg-non-unit")
+    for field, q01 in ((Q, 2), (PrimeField(7), 3)):
+        for n_max in (1, 2, 8):
+            for _ in range(5):
+                big = n_max + rng.randint(1, 4)
+                p = random_implicit_poly(rng, field, big, big)
+                y = BiSeries.monomial(field, 1, 0, 1, big, big)
+                scale = BiSeries.monomial(field, q01, 0, 0, big, big)
+                q = scale * (y - p)
+                f = furstenberg_solve(RootProblem(q), n_max)
+                assert f == solve_fixed_point(ImplicitProblem(p), n_max)
+
+
 # ---------------------------------------------------------------- solve_series
+
+def test_fixpoint_solve_substitutes_once_per_coefficient(monkeypatch):
+    # n_max passes plus the one residual check: no pass is repeated
+    calls = []
+    subst_y = BiSeries.subst_y
+
+    def counting(self, f):
+        calls.append(f.order)
+        return subst_y(self, f)
+
+    monkeypatch.setattr(BiSeries, "subst_y", counting)
+    report = solve_series(catalan_problem(PrimeField(10007), 16), 16, "fixpoint")
+    assert report.residual_zero
+    assert [c.value for c in report.solution.coefficients()[1:]] == [
+        catalan(n) % 10007 for n in range(1, 17)
+    ]
+    assert len(calls) == 17
+
 
 def test_solve_series_catalan_all_methods():
     for method in SolveMethod:
