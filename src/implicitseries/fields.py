@@ -123,6 +123,10 @@ class RationalField(Field):
         return "RationalField()"
 
     def normalize(self, x):
+        # int and Fraction arithmetic stays exact; only integral
+        # Fraction results need landing back on ints
+        if type(x) is Fraction and x.denominator == 1:
+            return x.numerator
         return x
 
     def coerce(self, x):

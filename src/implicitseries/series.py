@@ -12,7 +12,8 @@ Both types store one flat list ``_c`` of raw, normalized field payloads
 its box row-major, ``_w = y_order + 1`` entries per power of X, so the
 coefficient of ``X^i Y^j`` sits at ``_c[i * _w + j]``; a ``UniSeries``
 is the one-column case ``_w == 1``.  The shared base ``_Series`` holds
-the operand check, ``+``, ``-``, negation, ``==`` and ``hash`` for both.
+the operand check, ``+``, ``-``, negation, the exact quotient ``/``,
+``==`` and ``hash`` for both.
 Multiplication walks the nonzero support of the operands, which keeps
 polynomial inputs (the common case) fast while staying an exact dense
 convolution.
@@ -20,8 +21,10 @@ convolution.
 
 from __future__ import annotations
 
-from itertools import compress
+from fractions import Fraction
+from itertools import chain, compress, repeat
 from math import comb
+from operator import is_, itemgetter
 
 from .errors import (
     FieldMismatchError,
@@ -46,6 +49,26 @@ def _binary_pow(base, m: int, one):
         if m:
             base = base * base
     return result
+
+
+def _normalize(field: Field, out: list, payloads) -> None:
+    """Normalize the sums a product accumulated in ``out``, in place.
+
+    Over GF(p) only the nonzero sums can change.  Over Q only
+    ``Fraction`` sums can, and only when ``payloads`` (the factors'
+    payloads) hold a ``Fraction``: sums of int products are ints.  The
+    entries that cannot change are skipped in C, so a sparse product
+    pays nothing for the empty part of its box.
+    """
+    if field.characteristic:
+        todo = out
+    elif Fraction in map(type, payloads):
+        todo = map(is_, map(type, out), repeat(Fraction))
+    else:
+        return
+    norm = field.normalize
+    for k in compress(range(len(out)), todo):
+        out[k] = norm(out[k])
 
 
 def _row_terms(c: list, w: int) -> list:
@@ -107,6 +130,42 @@ class _Series:
     def __neg__(self):
         norm = self.field.normalize
         return self._raw(self.field, [norm(-a) for a in self._c], self._w)
+
+    def __truediv__(self, other):
+        """The exact quotient ``self / other`` on the same shape.
+
+        The divisor's constant term must be a unit.  Starting from the
+        dividend, the cells are solved in flat (row-major) order from
+        ``other * q == self``, so ``other * (self / other)`` is exactly
+        ``self`` on the shape.  For a ``UniSeries`` (``w == 1``) every
+        term passes the column test and this is the usual power series
+        division.
+        """
+        self._check_op(other)
+        c = other._c
+        if not c[0]:
+            raise NotAUnitError("constant term is zero, series is not a unit")
+        field = self.field
+        r = field.invert(c[0])
+        w = self._w
+        # (flat index, column, payload) of the divisor's non-constant
+        # terms; a term X^k Y^l reaches cell X^i Y^j when its flat index
+        # is at most the cell's and l <= j (which then forces k <= i)
+        terms = [(t, t % w, c[t]) for t in compress(range(len(c)), c) if t]
+        norm = field.normalize
+        v = list(self._c)
+        for p in range(len(v)):
+            j = p % w
+            s = v[p]
+            for t, l, ct in terms:
+                if t > p:
+                    break
+                if l <= j:
+                    x = v[p - t]
+                    if x:
+                        s -= ct * x
+            v[p] = norm(r * s) if s else 0
+        return self._raw(field, v, w)
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -187,9 +246,7 @@ class UniSeries(_Series):
                     b = oc[j]
                     if b:
                         out[i + j] += a * b
-        if self.field.characteristic:
-            norm = self.field.normalize
-            out = [norm(v) for v in out]
+        _normalize(self.field, out, chain(self._c, oc))
         return UniSeries._raw(self.field, out)
 
     def pow(self, m: int) -> "UniSeries":
@@ -343,9 +400,8 @@ class BiSeries(_Series):
                         if jb > ycap:
                             break
                         out[base + jb] += ca * cb
-        if self.field.characteristic:
-            norm = self.field.normalize
-            out = [norm(v) for v in out]
+        terms = chain.from_iterable(a_by_row + b_by_row)
+        _normalize(self.field, out, map(itemgetter(1), terms))
         return BiSeries._raw(self.field, out, w)
 
     def pow(self, m: int) -> "BiSeries":
@@ -415,41 +471,6 @@ class BiSeries(_Series):
         for j in range(top - 1, -1, -1):
             acc = acc * fx + self.column(j)
         return acc
-
-    def __truediv__(self, other):
-        """The exact quotient ``self / other`` on the same box.
-
-        The divisor's constant term must be a unit.  Starting from the
-        dividend, the cells are solved in row-major order from
-        ``other * q == self``, so ``other * (self / other)`` is exactly
-        ``self`` on the box.  Over Q integral quotients are stored as
-        ints.
-        """
-        self._check_op(other)
-        c = other._c
-        if not c[0]:
-            raise NotAUnitError("constant term is zero, series is not a unit")
-        field = self.field
-        r = field.invert(c[0])
-        w = self._w
-        # (flat index, column, payload) of the divisor's non-constant
-        # terms; a term X^k Y^l reaches cell X^i Y^j when its flat index
-        # is at most the cell's and l <= j (which then forces k <= i)
-        terms = [(t, t % w, c[t]) for t in compress(range(len(c)), c) if t]
-        norm = field.normalize if field.characteristic else field.coerce
-        v = list(self._c)
-        for p in range(len(v)):
-            j = p % w
-            s = v[p]
-            for t, l, ct in terms:
-                if t > p:
-                    break
-                if l <= j:
-                    x = v[p - t]
-                    if x:
-                        s -= ct * x
-            v[p] = norm(r * s) if s else 0
-        return BiSeries._raw(field, v, w)
 
     def reciprocal(self) -> "BiSeries":
         """Multiplicative inverse on the same box: ``one / self``."""

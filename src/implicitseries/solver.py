@@ -5,8 +5,10 @@ coefficient, the equation has exactly one solution f with f(0) = 0, in
 any characteristic.  This module offers four independent routes to its
 coefficients plus the surrounding machinery:
 
-* ``fixpoint`` (``solve_fixed_point``): substitution iteration, the
-  ground truth the other methods are tested against.
+* ``fixpoint`` (``solve_fixed_point``): Newton iteration on
+  f = P(X, f), doubling the known coefficients per step.  The linear
+  substitution iteration f <- P(X, f), the ground truth all four
+  methods are tested against, lives in the tests.
 * ``theorem``: [X^n] f as a finite sum over m of the coefficient of
   X^n Y^(m-1) in (1 - dP/dY) * P^m.  Works over any field; the sum
   stops at m = 2n - 1.
@@ -136,26 +138,46 @@ def _require_box(series: BiSeries, nx: int, ny: int, name: str = "P") -> None:
 
 
 def solve_fixed_point(prob: ImplicitProblem, n_max: int) -> UniSeries:
-    """Solve by iterating f <- P(X, f) from f = 0.
+    """Solve by Newton iteration, doubling the known coefficients per step.
 
-    The iteration is a contraction for the X-adic distance: each pass
-    fixes at least one further coefficient.  ``f = 0`` is already right
-    through order 0, so ``n_max`` rounds suffice, and the loop stops as
-    soon as two successive iterates agree.  This is the designated
-    ground truth for the other methods.
+    With f known through order k, one step
+    ``f <- f + (P(X, f) - f) / (1 - P_Y(X, f))`` on order 2k + 1 makes
+    it right through 2k + 1 (Brent & Kung 1978).  The divisor is a
+    unit because ``P_Y(0, 0) = 0``, so the step holds in every
+    characteristic.  The linear iteration ``f <- P(X, f)``, one
+    coefficient per pass, lives on in the tests as the ground truth for
+    this and the other methods.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    field = prob.field
+    if n_max == 0:
+        return UniSeries.zero(field, 0)
     p = prob.p
     if not prob.is_polynomial:
         _require_box(p, n_max, n_max)
+    # f vanishes at 0, so Y^j with j > n_max cannot reach order n_max;
+    # columns above P's highest nonzero one on the box add nothing
     work = p.resized(n_max, min(p.y_order, n_max))
-    f = UniSeries.zero(prob.field, n_max)
-    for _ in range(n_max):
-        nxt = work.subst_y(f)
-        if nxt == f:
-            break
-        f = nxt
+    top = work.y_order
+    while top and work.column(top).is_zero():
+        top -= 1
+    work = work.resized(n_max, top)
+    dwork = work.hasse_derivative(1) if top else None
+    # f = 0 is right through order 0 and P_Y(0, 0) = 0, so the first
+    # step gives f = P(X, 0) through order 1
+    f = work.column(0).resized(1)
+    k = 1
+    while k < n_max:
+        k = min(2 * k + 1, n_max)
+        f = f.resized(k)
+        r = work.resized(k, top).subst_y(f) - f
+        if r.is_zero():
+            continue  # f is already right through order k
+        if dwork is not None:
+            py = dwork.resized(k, top - 1).subst_y(f)
+            r = r / (UniSeries._raw(field, [1] + [0] * k) - py)
+        f = f + r
     return f
 
 
@@ -220,9 +242,7 @@ def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
             if cur.is_zero():
                 m_stop = m
                 break  # all later powers vanish on the box too
-    # prime fields: reduce the deferred sums; rationals: re-coerce so
-    # integral Fraction results land back on plain ints
-    norm = field.normalize if field.characteristic else field.coerce
+    norm = field.normalize
     sums = [norm(v) for v in sums]
     tails = [norm(v) for v in tails]
     return sums, tails, m_stop
@@ -260,7 +280,7 @@ def lagrange_coefficient(
     if n >= 2:
         correction = (w.derivative().resized(n - 1) * pw)._c[n - 2]
         val = field.normalize(val - correction)
-    return FieldElement(field, field.coerce(val))
+    return FieldElement(field, val)
 
 
 def taylor_residual(p: BiSeries, f: UniSeries) -> BiSeries:
@@ -400,8 +420,4 @@ def solve_series(prob: ImplicitProblem, n_max: int, method) -> SolveReport:
         sums, _, m_stop = _extraction_vectors(prob, n_max, char_zero_form=char0)
         f = UniSeries._raw(prob.field, sums)
         m_terms = tuple(range(1, m_stop + 1))
-    if not prob.field.characteristic:
-        # the product loops skip normalizing over Q: land integral
-        # Fraction payloads back on ints, whichever method ran
-        f = UniSeries(prob.field, f._c)
     return SolveReport(method, f, _implicit_residual_zero(prob, f), m_terms)

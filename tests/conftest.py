@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 from implicitseries import BiSeries, PrimeField, RationalField, UniSeries
+from implicitseries.solver import _require_box
 
 FIELDS = [
     RationalField(),
@@ -84,3 +85,26 @@ def random_root_poly(rng, field, x_order, y_order, max_degree=4, n_terms=3):
         terms.append((i, j, random_value(rng, field)))
     terms.append((0, 1, random_nonzero_value(rng, field)))
     return BiSeries.from_terms(field, terms, x_order, y_order)
+
+
+def linear_fixed_point(prob, n_max):
+    """The ground truth for every solve method: iterate f <- P(X, f) from 0.
+
+    The iteration is a contraction for the X-adic distance: each pass
+    fixes at least one further coefficient.  ``f = 0`` is already right
+    through order 0, so ``n_max`` rounds suffice, and the loop stops as
+    soon as two successive iterates agree.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    p = prob.p
+    if not prob.is_polynomial:
+        _require_box(p, n_max, n_max)
+    work = p.resized(n_max, min(p.y_order, n_max))
+    f = UniSeries.zero(prob.field, n_max)
+    for _ in range(n_max):
+        nxt = work.subst_y(f)
+        if nxt == f:
+            break
+        f = nxt
+    return f

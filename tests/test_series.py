@@ -1,4 +1,4 @@
-"""Series arithmetic: ring axioms, derivatives, substitutions, reciprocal."""
+"""Series arithmetic: ring axioms, derivatives, substitutions, quotients."""
 
 import math
 from fractions import Fraction
@@ -99,6 +99,35 @@ def test_uniseries_repr_and_hash():
     a = UniSeries(Q, [1, Fraction(1, 2)])
     assert repr(a) == "UniSeries(q, [1, Fraction(1, 2)])"
     assert hash(a) == hash(UniSeries(Q, [1, Fraction(2, 4)]))
+
+
+def test_uniseries_quotient_randomized_and_guards():
+    rng = make_rng("uniseries-quotient")
+    not_a_unit = r"^constant term is zero, series is not a unit$"
+    for field in FIELDS:
+        for _ in range(25):
+            n = rng.randint(0, 8)
+            a = random_uniseries(rng, field, n)
+            u = random_uniseries(rng, field, n)
+            if not u.coeff(0):
+                with pytest.raises(NotAUnitError, match=not_a_unit):
+                    a / u
+                u = u + UniSeries(field, [1] + [0] * n)
+            assert u * (a / u) == a
+            assert (a * u) / u == a
+    # 1 / (1 - X) is the geometric series
+    one = UniSeries(Q, [1, 0, 0, 0])
+    assert one / UniSeries(Q, [1, -1, 0, 0]) == UniSeries(Q, [1, 1, 1, 1])
+    with pytest.raises(NotAUnitError, match=not_a_unit):
+        one / UniSeries(Q, [0, 1, 0, 0])
+    with pytest.raises(TypeError, match="^expected a UniSeries, got int$"):
+        one / 2
+    with pytest.raises(TypeError, match="^expected a UniSeries, got BiSeries$"):
+        one / BiSeries.one(Q, 3, 0)
+    with pytest.raises(FieldMismatchError):
+        one / UniSeries(PrimeField(2), [1, 0, 0, 0])
+    with pytest.raises(ShapeMismatchError, match=r"^orders differ: 3 vs 4"):
+        one / one.resized(4)
 
 
 # ----------------------------------------------------------------- BiSeries

@@ -33,11 +33,14 @@ from implicitseries.solver import _extraction_vectors
 
 from conftest import (
     FIELDS,
+    linear_fixed_point,
     make_rng,
     random_biseries,
     random_implicit_poly,
+    random_nonzero_value,
     random_root_poly,
     random_uniseries,
+    random_value,
 )
 
 Q = RationalField()
@@ -80,7 +83,7 @@ def test_root_problem_validation():
         RootProblem(BiSeries.from_terms(Q, [(1, 0, 1)], 3, 0))  # no Y column at all
 
 
-# -------------------------------------------------------- fixed-point oracle
+# ---------------------------------------------------- fixed point by Newton
 
 def test_fixed_point_catalan():
     f = solve_fixed_point(catalan_problem(Q, 6), 6)
@@ -108,6 +111,47 @@ def test_fixed_point_truncated_input_needs_box():
         solve_fixed_point(prob, 5)
     # the same data declared polynomial extends freely
     assert solve_fixed_point(ImplicitProblem(p), 5)._c == [0, 1, 1, 2, 5, 14]
+
+
+def newton_problem(rng, field, n_max, y_degree):
+    """A seeded polynomial P of exactly the given Y-degree.
+
+    Its box is random around ``n_max``, but at least 3 in X, so the
+    term that sets the Y-degree always fits.
+    """
+    terms = [(rng.randint(1, 2), 0, random_nonzero_value(rng, field))]
+    if y_degree:
+        i = rng.randint(1 if y_degree == 1 else 0, 3)
+        terms.append((i, y_degree, random_nonzero_value(rng, field)))
+    for _ in range(rng.randint(1, 4)):
+        i, j = rng.randint(0, 6), rng.randint(0, y_degree)
+        if i == 0 and j < 2:
+            i = 1  # P(0, 0) and [Y] P(0, Y) must vanish
+        terms.append((i, j, random_value(rng, field)))
+    x_box = rng.randint(max(3, n_max // 2), n_max + 3)
+    return BiSeries.from_terms(field, terms, x_box, y_degree + rng.randint(0, 2))
+
+
+def test_newton_matches_the_linear_iteration():
+    rng = make_rng("newton-vs-linear")
+    for field in FIELDS:
+        for n_max in (0, 1, 2, 3, 6, 17, 40):
+            for y_degree in (0, 1, 2, 3, 6):
+                prob = ImplicitProblem(newton_problem(rng, field, n_max, y_degree))
+                assert solve_fixed_point(prob, n_max) == linear_fixed_point(prob, n_max)
+        # truncated input known exactly on the (n_max, n_max) box
+        for n_max in (0, 1, 2, 5, 9):
+            terms = [
+                (i, j, random_value(rng, field))
+                for i in range(n_max + 1)
+                for j in range(n_max + 1)
+                if (i, j) not in ((0, 0), (0, 1))
+            ]
+            p = BiSeries.from_terms(field, terms, n_max, n_max)
+            prob = ImplicitProblem(p, is_polynomial=False)
+            assert solve_fixed_point(prob, n_max) == linear_fixed_point(prob, n_max)
+            with pytest.raises(InsufficientTruncationError):
+                solve_fixed_point(prob, n_max + 1)
 
 
 # ------------------------------------------------------ coefficient extraction
@@ -146,7 +190,7 @@ def test_extraction_whole_vector_matches_oracle():
         for _ in range(10):
             p = random_implicit_poly(rng, field, 8, 8)
             prob = ImplicitProblem(p)
-            oracle = solve_fixed_point(prob, 8)
+            oracle = linear_fixed_point(prob, 8)
             sums, tails, _ = _extraction_vectors(prob, 8, extra_m=4)
             assert sums == oracle._c
             assert all(v == 0 for v in tails)
@@ -386,13 +430,13 @@ def test_furstenberg_non_unit_linear_term_and_large_box():
                 scale = BiSeries.monomial(field, q01, 0, 0, big, big)
                 q = scale * (y - p)
                 f = furstenberg_solve(RootProblem(q), n_max)
-                assert f == solve_fixed_point(ImplicitProblem(p), n_max)
+                assert f == linear_fixed_point(ImplicitProblem(p), n_max)
 
 
 # ---------------------------------------------------------------- solve_series
 
-def test_fixpoint_solve_substitutes_once_per_coefficient(monkeypatch):
-    # n_max passes plus the one residual check: no pass is repeated
+def test_fixpoint_solve_substitutes_twice_per_newton_step(monkeypatch):
+    # P and P_Y at orders 3, 7, 15 and 16, then the one residual check
     calls = []
     subst_y = BiSeries.subst_y
 
@@ -406,7 +450,7 @@ def test_fixpoint_solve_substitutes_once_per_coefficient(monkeypatch):
     assert [c.value for c in report.solution.coefficients()[1:]] == [
         catalan(n) % 10007 for n in range(1, 17)
     ]
-    assert len(calls) == 17
+    assert calls == [3, 3, 7, 7, 15, 15, 16, 16, 16]
 
 
 def test_solve_series_catalan_all_methods():
@@ -423,10 +467,35 @@ def test_solve_series_catalan_all_methods():
 
 
 def test_every_method_returns_integral_rationals_as_ints():
-    # P = 2X + Y^2/2: the product loops leave Fraction(k, 1) payloads
+    # P = 2X + Y^2/2 over Q: integral coefficients come back as ints
     p = BiSeries.from_terms(Q, [(1, 0, 2), (0, 2, Fraction(1, 2))], 4, 7)
     reprs = {repr(solve_series(ImplicitProblem(p), 4, m).solution) for m in SolveMethod}
     assert reprs == {"UniSeries(q, [0, 2, 2, 4, 10])"}
+
+
+def test_products_over_q_store_integral_rationals_as_ints():
+    # Q's normalize lands integral Fraction results on ints, so products,
+    # powers and everything built from them store what from_terms would
+    def integral_fractions(series):
+        return [c for c in series._c if isinstance(c, Fraction) and c.denominator == 1]
+
+    half = Fraction(1, 2)
+    a = BiSeries.from_terms(Q, [(0, 0, half), (1, 1, Fraction(3, 2))], 1, 1)
+    b = BiSeries.from_terms(Q, [(0, 0, 2), (1, 0, 2)], 1, 1)
+    assert repr(a * b) == repr(
+        BiSeries.from_terms(Q, [(0, 0, 1), (1, 0, 1), (1, 1, 3)], 1, 1)
+    )
+    # (1/2 + X/2 + X^2/2 + X^3/2)^2 has X^3 coefficient 4 * 1/4
+    halves = BiSeries.from_terms(Q, [(i, 0, half) for i in range(4)], 3, 1)
+    assert halves.pow(2).coeff(3, 0) == 1
+    p = BiSeries.from_terms(Q, [(1, 0, half), (1, 1, half), (0, 2, half)], 6, 6)
+    f = solve_fixed_point(ImplicitProblem(p), 6)
+    root = furstenberg_solve(RootProblem(p - BiSeries.monomial(Q, 1, 0, 1, 6, 6)), 6)
+    assert root == f
+    residual = taylor_residual(p, f)
+    assert residual.is_zero()
+    for series in (a * b, halves.pow(2), halves.column(0).pow(2), f, root, residual):
+        assert not integral_fractions(series)
 
 
 def test_solve_series_accepts_method_strings():
