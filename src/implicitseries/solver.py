@@ -47,7 +47,7 @@ from .errors import (
     ZeroLinearYTermError,
 )
 from .fields import FieldElement
-from .series import BiSeries, UniSeries
+from .series import BiSeries, UniSeries, _top_column
 
 
 class SolveMethod(enum.Enum):
@@ -158,11 +158,8 @@ def solve_fixed_point(prob: ImplicitProblem, n_max: int) -> UniSeries:
         _require_box(p, n_max, n_max)
     # f vanishes at 0, so Y^j with j > n_max cannot reach order n_max;
     # columns above P's highest nonzero one on the box add nothing
-    work = p.resized(n_max, min(p.y_order, n_max))
-    top = work.y_order
-    while top and work.column(top).is_zero():
-        top -= 1
-    work = work.resized(n_max, top)
+    top = _top_column(p._c, p._w, min(p.y_order, n_max), (n_max + 1) * p._w)
+    work = p.resized(n_max, top)
     dwork = work.hasse_derivative(1) if top else None
     # f = 0 is right through order 0 and P_Y(0, 0) = 0, so the first
     # step gives f = P(X, 0) through order 1

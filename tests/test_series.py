@@ -16,6 +16,7 @@ from implicitseries import (
     RationalField,
     ShapeMismatchError,
     UniSeries,
+    series,
 )
 
 from conftest import FIELDS, make_rng, random_biseries, random_uniseries, random_value
@@ -44,6 +45,7 @@ def test_uniseries_truncation_is_part_of_value():
     assert a.order == 1
     assert a.resized(3)._c == [1, 2, 0, 0]
     assert a.resized(0)._c == [1]
+    assert a.resized(1) is a  # series never change once built
     assert a != a.resized(3)  # different truncation orders differ as values
     with pytest.raises(ShapeMismatchError):
         a + a.resized(3)
@@ -172,6 +174,7 @@ def test_biseries_resized_and_shape_checks():
     small = p.resized(1, 1)
     assert small.nonzero_terms() == [(1, 1, 3)]
     assert p.resized(0, 0).is_zero()
+    assert p.resized(2, 2) is p
     grown = p.resized(3, 4)
     assert grown.x_order == 3 and grown.y_order == 4
     with pytest.raises(ShapeMismatchError):
@@ -192,9 +195,25 @@ def _sparse_or_dense_biseries(rng, field, nx, ny):
     return BiSeries.from_terms(field, terms, nx, ny)
 
 
+def _textbook_product(a, b):
+    """The double loop over the coefficients of ``a`` and ``b``, cut to the box."""
+    nx, ny = a.x_order, a.y_order
+    return BiSeries.from_terms(
+        a.field,
+        [
+            (i + k, j + l, c * d)
+            for i, j, c in a.nonzero_terms()
+            for k, l, d in b.nonzero_terms()
+            if i + k <= nx and j + l <= ny
+        ],
+        nx,
+        ny,
+    )
+
+
 def test_products_match_the_textbook_convolution():
-    # both kernels against the double loop over the coefficients, cut to
-    # the box, on empty-width, empty-height and non-square boxes
+    # both series types against the double loop over the coefficients, on
+    # empty-width, empty-height and non-square boxes
     rng = make_rng("mul-definition")
     for field in FIELDS:
         boxes = [(0, 0), (0, 5), (5, 0), (1, 6), (6, 1), (2, 4), (4, 2)]
@@ -202,23 +221,97 @@ def test_products_match_the_textbook_convolution():
         for nx, ny in boxes:
             a = _sparse_or_dense_biseries(rng, field, nx, ny)
             b = _sparse_or_dense_biseries(rng, field, nx, ny)
-            expected = BiSeries.from_terms(
-                field,
-                [
-                    (i + k, j + l, c * d)
-                    for i, j, c in a.nonzero_terms()
-                    for k, l, d in b.nonzero_terms()
-                    if i + k <= nx and j + l <= ny
-                ],
-                nx,
-                ny,
-            )
-            assert a * b == expected
+            assert a * b == _textbook_product(a, b)
             u, v = a.column(0), b.column(ny)
             assert (u * v).coefficients() == [
                 sum(u.coeff(i) * v.coeff(n - i) for i in range(n + 1))
                 for n in range(nx + 1)
             ]
+
+
+def _dense_below(rng, field, nx, ny, top):
+    """A random series on the box (nx, ny), nonzero exactly in the columns
+    up to ``top``."""
+    p = field.characteristic
+    return BiSeries.from_terms(
+        field,
+        [(i, j, rng.randrange(1, p)) for i in range(nx + 1) for j in range(top + 1)],
+        nx,
+        ny,
+    )
+
+
+@pytest.fixture
+def kron_calls(monkeypatch):
+    """The argument tuples of every ``_kron_mul`` call the test makes."""
+    calls = []
+    kernel = series._kron_mul
+    monkeypatch.setattr(
+        series, "_kron_mul", lambda *args: calls.append(args) or kernel(*args)
+    )
+    return calls
+
+
+def test_kronecker_products_match_the_textbook_convolution(kron_calls):
+    # products large enough for the Kronecker kernel, against the double loop
+    rng = make_rng("kron-definition")
+    primes = [f for f in FIELDS if f.characteristic] + [PrimeField(2**31 - 1)]
+    for field in primes:
+        p = field.characteristic
+        worst = BiSeries(field, [[p - 1] * 10 for _ in range(8)])
+        cases = [
+            # every product sum at its bound: 80 terms of (p - 1)^2 meet
+            # in the corner cell
+            (worst, worst),
+            # w == 1: a BiSeries with y_order 0, and a UniSeries below
+            (_dense_below(rng, field, 40, 0, 0), _dense_below(rng, field, 40, 0, 0)),
+            # x_order 0
+            (_dense_below(rng, field, 0, 40, 40), _dense_below(rng, field, 0, 40, 40)),
+            # non-square boxes, and top columns that differ: the rows are
+            # packed min(top) slots apart
+            (_dense_below(rng, field, 12, 20, 2), _dense_below(rng, field, 12, 20, 20)),
+            (_dense_below(rng, field, 30, 5, 5), _dense_below(rng, field, 30, 5, 1)),
+            (_dense_below(rng, field, 6, 30, 17), _dense_below(rng, field, 6, 30, 9)),
+        ]
+        for a, b in cases:
+            before = len(kron_calls)
+            assert a * b == _textbook_product(a, b)
+            assert a * a == _textbook_product(a, a)
+            assert len(kron_calls) == before + 2
+        a, b = cases[1]
+        assert a.column(0) * b.column(0) == _textbook_product(a, b).column(0)
+        assert len(kron_calls) == before + 3
+        zero = [0] * len(worst._c)
+        assert series._kron_mul(p, zero, worst._c, worst._w, 1) == zero
+        assert series._kron_mul(p, worst._c, zero, worst._w, 1) == zero
+
+
+def test_kronecker_kernel_runs_only_where_it_pays(kron_calls, monkeypatch):
+    rng = make_rng("kron-dispatch")
+    fp = PrimeField(10007)
+    a, b = random_biseries(rng, fp, 24, 47), random_biseries(rng, fp, 24, 47)
+    product = a * b
+    assert len(kron_calls) == 1
+    # over Q the loop runs, whatever the size
+    kron_calls.clear()
+    c = BiSeries(Q, [[rng.randint(1, 9) for _ in range(32)] for _ in range(17)])
+    u = UniSeries(Q, [rng.randint(1, 9) for _ in range(100)])
+    c * c
+    u * u
+    assert kron_calls == []
+    # over GF(p), the kernel runs from _KRON_MIN_PAIRS nonzero pairs on
+    t = series._KRON_MIN_PAIRS
+    x = UniSeries(fp, [0, 1] + [0] * (t - 1))
+    below = UniSeries(fp, [1] * (t - 1) + [0, 0])
+    at = UniSeries(fp, [1] * t + [0])
+    assert (below * x)._c == [0] + below._c[:-1]
+    assert kron_calls == []
+    assert (at * x)._c == [0] + at._c[:-1]
+    assert len(kron_calls) == 1
+    # the dense product again, by the schoolbook loop
+    monkeypatch.setattr(series, "_KRON_MIN_PAIRS", float("inf"))
+    assert a * b == product
+    assert len(kron_calls) == 1
 
 
 def test_biseries_ring_axioms_randomized():
