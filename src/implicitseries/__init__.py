@@ -19,6 +19,7 @@ rational bivariate series; all agree, over any coefficient field.
 
 from .errors import (
     ExponentNegativeError,
+    ExponentTooLargeError,
     ExpressionSyntaxError,
     FieldMismatchError,
     ImplicitSeriesError,
@@ -63,6 +64,7 @@ __version__ = "1.0.0"
 __all__ = [
     "BiSeries",
     "ExponentNegativeError",
+    "ExponentTooLargeError",
     "ExpressionSyntaxError",
     "Field",
     "FieldElement",

@@ -69,5 +69,9 @@ class ExponentNegativeError(ExpressionSyntaxError):
     """An exponent in an expression was negative."""
 
 
+class ExponentTooLargeError(ExpressionSyntaxError):
+    """An exponent tower in an expression reaches 2^64 or more."""
+
+
 class UnexpectedVariableError(ImplicitSeriesError):
     """An expression uses a variable the caller did not allow."""

@@ -12,8 +12,9 @@ The accepted grammar, whitespace-insensitive between tokens::
 ``/`` appears only inside rational literals such as ``1/2``; variable
 names are case-sensitive.  Exponents are literal nonnegative integers
 evaluated during parsing, so ``X^2^3`` is ``X^8`` and ``2^3^2`` is
-``512``.  Parsing is one left-to-right pass over the tokens with an
-explicit stack of pending operators (shunting-yard), so no construct
+``512``; a tower whose fold reaches 2^64 raises
+:class:`ExponentTooLargeError`.  Parsing is one left-to-right pass with
+an explicit stack of pending operators (shunting-yard), so no construct
 costs interpreter stack; parentheses nest at most ``MAX_PAREN_DEPTH``
 (100) deep, and everything else may repeat without bound.  The pass
 converts each literal to the field once and emits postfix code, which
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from .errors import (
     ExponentNegativeError,
+    ExponentTooLargeError,
     ExpressionSyntaxError,
     LiteralNotInFieldError,
     UnexpectedVariableError,
@@ -152,7 +154,7 @@ def parse_expression(text: str, field: Field) -> list:
             _fail("')'" if depth else "end of input", tok)
         # an atom has just ended: it may carry one exponent tower, which
         # associates to the right and is folded in the integers
-        tower = []
+        tower, start = [], pos + 1
         while tokens[pos][:2] == ("sym", "^"):
             kind, value, offset = tokens[pos + 1]
             if kind == "sym" and value == "-":
@@ -162,9 +164,14 @@ def parse_expression(text: str, field: Field) -> list:
             tower.append(value)
             pos += 2
         if tower:
-            m = 1
+            m = tower.pop()
             for e in reversed(tower):
-                m = e**m
+                # e^m >= 2^((bits(e) - 1) * m): refuse 2^64 or more before
+                # computing it, since a tower like 9^9^9 would never finish
+                if e > 1 and (e.bit_length() - 1) * m >= 64 or (m := e**m) >> 64:
+                    raise ExponentTooLargeError(
+                        "exponent tower reaches 2^64 or more", tokens[start][2]
+                    )
             code.append(("^", m))
     code.extend((op, None) for op in reversed(pending))
     if bad_literal:

@@ -14,13 +14,13 @@ coefficient of ``X^i Y^j`` sits at ``_c[i * _w + j]``; a ``UniSeries``
 is the one-column case ``_w == 1``.  The shared base ``_Series`` holds
 the operand check, ``+``, ``-``, negation, the exact quotient ``/``,
 ``==`` and ``hash`` for both.
-Multiplication picks one of two kernels by what the operands hold.  Over
-GF(p), once the schoolbook loop would pair at least ``_KRON_MIN_PAIRS``
-nonzero terms, ``_kron_mul`` packs each operand into one int, makes one
-big-int multiply and reads the product's coefficients back (Kronecker
-substitution).  Every other product, and every product over Q, walks the
-nonzero support of the operands, which keeps polynomial inputs (the
-common case) fast while staying an exact dense convolution.
+Both types multiply through ``_product``.  Over GF(p), once the nonzero
+terms make ``_KRON_MIN_PAIRS`` pairs and the box has at most
+``_KRON_CELLS_PER_PAIR`` cells per pair, ``_kron_mul`` packs each operand
+into one int, makes one big-int multiply and reads the product's
+coefficients back (Kronecker substitution).  Every other product, and
+every product over Q, is one schoolbook loop over the pairs of nonzero
+terms that land in the box; only its scans in C touch every cell.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from array import array
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import comb
-from operator import is_, itemgetter
+from operator import is_
 
 from .errors import (
     FieldMismatchError,
@@ -57,26 +57,6 @@ def _binary_pow(base, m: int, one):
     return result
 
 
-def _normalize(field: Field, out: list, payloads) -> None:
-    """Normalize the sums a product accumulated in ``out``, in place.
-
-    Over GF(p) only the nonzero sums can change.  Over Q only
-    ``Fraction`` sums can, and only when ``payloads`` (the factors'
-    payloads) hold a ``Fraction``: sums of int products are ints.  The
-    entries that cannot change are skipped in C, so a sparse product
-    pays nothing for the empty part of its box.
-    """
-    if field.characteristic:
-        todo = out
-    elif Fraction in map(type, payloads):
-        todo = map(is_, map(type, out), repeat(Fraction))
-    else:
-        return
-    norm = field.normalize
-    for k in compress(range(len(out)), todo):
-        out[k] = norm(out[k])
-
-
 def _top_column(c: list, w: int, top: int, size=None) -> int:
     """The highest column ``j <= top`` of the row-major list ``c``, ``w``
     entries per row, with a nonzero entry among the first ``size``
@@ -86,13 +66,16 @@ def _top_column(c: list, w: int, top: int, size=None) -> int:
     return top
 
 
-# A product over GF(p) goes through ``_kron_mul`` when its schoolbook loop
-# would pair at least this many nonzero terms.  Below that, packing and
-# unpacking the whole box costs more than the loop it replaces.  Timing
-# every GF(p) product of the benchmark's dense-fp and cli-small workloads
-# both ways, 1000 was best on cli-small and within 1% of best on dense-fp;
-# 300 made cli-small's products 12% slower than the loop alone.
+# A product over GF(p) goes through ``_kron_mul`` when its nonzero terms
+# make at least ``_KRON_MIN_PAIRS`` pairs and the box has at most
+# ``_KRON_CELLS_PER_PAIR`` cells per pair; otherwise packing and unpacking
+# the whole box costs more than the loop.  Timed both ways on the GF(p)
+# products of the benchmark workloads and of theorem on sparse P, the loop
+# won 754 of 755 products with a cell or more per pair; 1000 pairs was within
+# 3% of best everywhere (300 made cli-small's products 9-15% slower); 2
+# cells per pair, not 1, leaves a full box times one term to the pairs.
 _KRON_MIN_PAIRS = 1000
+_KRON_CELLS_PER_PAIR = 2
 
 _NATIVE_BIG_ENDIAN = sys.byteorder == "big"
 
@@ -159,30 +142,49 @@ def _kron_mul(p: int, a: list, b: list, w: int, k: int) -> list:
     return list(map(p.__rmod__, slots))
 
 
-def _kron_product(field: Field, a: list, b: list, w: int):
-    """``_kron_mul`` of ``a`` and ``b`` where it pays, else ``None``.
+def _product(field: Field, a: list, b: list, w: int) -> list:
+    """The normalized product of two row-major payload lists on one box.
 
-    It pays over GF(p) once the schoolbook loop would pair at least
-    ``_KRON_MIN_PAIRS`` nonzero terms; over Q, and for smaller products,
-    the loop runs.  The nonzero counts are taken in C.
+    ``_kron_mul`` computes it where it pays (see ``_KRON_MIN_PAIRS``),
+    else one loop does.  The sparser factor drives it; each of its terms
+    walks the other factor's terms in flat order, up to the first whose
+    flat sum leaves the box, and skips those whose columns sum past
+    ``w - 1``, so nothing wraps into the next row.
     """
+    size = len(a)
     p = field.characteristic
-    if not p:
-        return None
-    nnz_a = len(a) - a.count(0)
-    nnz_b = len(b) - b.count(0)
-    if nnz_a * nnz_b < _KRON_MIN_PAIRS:
-        return None
-    return _kron_mul(p, a, b, w, min(nnz_a, nnz_b))
-
-
-def _row_terms(c: list, w: int) -> list:
-    """The nonzero ``(column, payload)`` pairs of each row of the row-major
-    list ``c``, ``w`` entries per row, in column order."""
-    rows = [[] for _ in range(len(c) // w)]
-    for k in compress(range(len(c)), c):
-        rows[k // w].append((k % w, c[k]))
-    return rows
+    if p:  # count in C: index lists would cost the kernel 6%
+        na, nb = size - a.count(0), size - b.count(0)
+        if na * nb >= _KRON_MIN_PAIRS and na * nb * _KRON_CELLS_PER_PAIR >= size:
+            return _kron_mul(p, a, b, w, min(na, nb))
+    nz_a, nz_b = list(compress(range(size), a)), list(compress(range(size), b))
+    if len(nz_b) < len(nz_a):
+        a, b, nz_a, nz_b = b, a, nz_b, nz_a
+    terms = [(t, t % w, b[t]) for t in nz_b]
+    out = [0] * size
+    for s in nz_a:
+        ca, end, ycap = a[s], size - s, w - 1 - s % w
+        for t, l, cb in terms:
+            if t >= end:
+                break
+            if l <= ycap:
+                out[s + t] += ca * cb
+    # normalize the sums in place.  Over GF(p) only the nonzero sums can
+    # change.  Over Q only Fraction sums can, and only when a factor holds a
+    # Fraction: sums of int products are ints.  The entries that cannot
+    # change are skipped in C, so a sparse product pays nothing for the
+    # empty part of its box.
+    if p:
+        todo = out
+    else:
+        payloads = chain(map(a.__getitem__, nz_a), map(b.__getitem__, nz_b))
+        if Fraction not in map(type, payloads):
+            return out
+        todo = map(is_, map(type, out), repeat(Fraction))
+    norm = field.normalize
+    for k in compress(range(size), todo):
+        out[k] = norm(out[k])
+    return out
 
 
 class _Series:
@@ -348,20 +350,7 @@ class UniSeries(_Series):
 
     def __mul__(self, other):
         self._check_op(other)
-        out = _kron_product(self.field, self._c, other._c, 1)
-        if out is not None:
-            return UniSeries._raw(self.field, out)
-        n = self.order
-        out = [0] * (n + 1)
-        oc = other._c
-        for i, a in enumerate(self._c):
-            if a:
-                for j in range(n - i + 1):
-                    b = oc[j]
-                    if b:
-                        out[i + j] += a * b
-        _normalize(self.field, out, chain(self._c, oc))
-        return UniSeries._raw(self.field, out)
+        return UniSeries._raw(self.field, _product(self.field, self._c, other._c, 1))
 
     def pow(self, m: int) -> "UniSeries":
         """Truncated m-th power, by binary exponentiation."""
@@ -501,28 +490,7 @@ class BiSeries(_Series):
     def __mul__(self, other):
         self._check_op(other)
         w = self._w
-        out = _kron_product(self.field, self._c, other._c, w)
-        if out is not None:
-            return BiSeries._raw(self.field, out, w)
-        size = len(self._c)
-        a_by_row, b_by_row = _row_terms(self._c, w), _row_terms(other._c, w)
-        if sum(map(len, b_by_row)) < sum(map(len, a_by_row)):
-            # the sparser factor drives the outer loop
-            a_by_row, b_by_row = b_by_row, a_by_row
-        out = [0] * size
-        for k, a_row in zip(range(0, size, w), a_by_row):
-            for ja, ca in a_row:
-                ycap = w - 1 - ja
-                # this term times each row of b lands from flat index
-                # ``base`` on; the walk stops once that row leaves the box
-                for base, b_row in zip(range(k + ja, size, w), b_by_row):
-                    for jb, cb in b_row:
-                        if jb > ycap:
-                            break
-                        out[base + jb] += ca * cb
-        terms = chain.from_iterable(a_by_row + b_by_row)
-        _normalize(self.field, out, map(itemgetter(1), terms))
-        return BiSeries._raw(self.field, out, w)
+        return BiSeries._raw(self.field, _product(self.field, self._c, other._c, w), w)
 
     def pow(self, m: int) -> "BiSeries":
         """Truncated m-th power, by binary exponentiation.

@@ -260,6 +260,25 @@ def test_negative_exponent_exits_2(capsys):
     assert err == "error: exponents must be nonnegative (byte offset 2)\n"
 
 
+@pytest.mark.parametrize("poly", ["X + Y^9^9^9", "X + 2^9^9^9"])
+def test_exponent_tower_reaching_2_64_exits_2(poly):
+    # a fresh process with a timeout, so a tower folded exactly fails the
+    # test instead of hanging it
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "implicitseries.cli",
+            "solve", "--field", "q", "--poly", poly, "--order", "3",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        "error: exponent tower reaches 2^64 or more (byte offset 6)\n"
+    )
+
+
 def test_composite_modulus_exits_1(capsys):
     code, out, err = run_cli(
         capsys, "solve", "--field", "fp:4", "--poly", "X + Y^2", "--order", "3"

@@ -10,6 +10,7 @@ import pytest
 from implicitseries import (
     BiSeries,
     ExponentNegativeError,
+    ExponentTooLargeError,
     ExpressionSyntaxError,
     ImplicitSeriesError,
     LiteralNotInFieldError,
@@ -112,6 +113,20 @@ def test_negative_exponents_rejected():
         parse_expression("2^3^-1", Q)
     # ...but unary minus on the base is fine
     assert lower("-X^2 + X^2", Q, 3, 0).is_zero()
+
+
+def test_exponent_towers_reaching_2_64_rejected():
+    # folded exactly, 9^9^9 would never finish: a tower is refused, at the
+    # offset of its first exponent, once any part of its fold reaches 2^64
+    for text in ["Y^9^9^9", "2^9^9^9", "Y^2^64", "Y^3^41", "Y^0^99^99", "2^2^2^2^2^2"]:
+        with pytest.raises(ExponentTooLargeError) as e:
+            parse_expression("X + " + text, Q)
+        assert str(e.value) == "exponent tower reaches 2^64 or more (byte offset 6)"
+    assert isinstance(e.value, ExpressionSyntaxError)
+    # just below the limit, towers still fold; single exponents are not limited
+    assert lower("X + Y^2^63 + Y^3^40", Q, 2, 2) == lower("X", Q, 2, 2)
+    assert lower("2^2^2^2 + 1^99^9", Q, 0, 0).coeff(0, 0).value == 65537
+    assert lower("X^18446744073709551616", Q, 2, 0).is_zero()
 
 
 def test_literals_validated_against_field():

@@ -227,6 +227,28 @@ def test_products_match_the_textbook_convolution():
                 sum(u.coeff(i) * v.coeff(n - i) for i in range(n + 1))
                 for n in range(nx + 1)
             ]
+        # order 0 on both series types
+        u, v = UniSeries(field, [random_value(rng, field)]), UniSeries(field, [3])
+        assert (u * v)._c == [field.normalize(3 * u._c[0])]
+        a, b = BiSeries(field, [[random_value(rng, field)]]), BiSeries(field, [[3]])
+        assert a * b == _textbook_product(a, b)
+        # a term in the last column times Y leaves the box; it must not wrap
+        # into column 0 of the next row
+        y = BiSeries.monomial(field, 1, 0, 1, 4, 3)
+        for i in range(5):
+            edge = BiSeries.monomial(field, 1, i, 3, 4, 3)
+            assert (edge * y).is_zero() and (y * edge).is_zero()
+            assert (edge + y) * y == _textbook_product(edge + y, y)
+
+    # powers of Catalan's X + Y^2 on (64, 127): few terms on a large box
+    for field in (Q, PrimeField(10007)):
+        p = BiSeries.from_terms(field, [(1, 0, 1), (0, 2, 1)], 64, 127)
+        power = p
+        for k in range(2, 66):
+            assert p * power == _textbook_product(p, power)
+            if k % 8 == 0:
+                assert power * power == _textbook_product(power, power)
+            power = p * power
 
 
 def _dense_below(rng, field, nx, ny, top):
@@ -298,6 +320,15 @@ def test_kronecker_kernel_runs_only_where_it_pays(kron_calls, monkeypatch):
     u = UniSeries(Q, [rng.randint(1, 9) for _ in range(100)])
     c * c
     u * u
+    # and over GF(p) for a sparse product on a large box, although its
+    # terms make more than _KRON_MIN_PAIRS pairs
+    sparse = BiSeries.from_terms(fp, [(0, 0, 1), (1, 3, 2)], 100, 199)
+    cells = rng.sample(range(101 * 200), 513)
+    many = BiSeries.from_terms(
+        fp, [(k // 200, k % 200, 1 + k % 97) for k in cells], 100, 199
+    )
+    assert sparse * many == _textbook_product(sparse, many)
+    assert many * sparse == _textbook_product(many, sparse)
     assert kron_calls == []
     # over GF(p), the kernel runs from _KRON_MIN_PAIRS nonzero pairs on
     t = series._KRON_MIN_PAIRS
