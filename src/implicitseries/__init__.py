@@ -18,6 +18,7 @@ rational bivariate series; all agree, over any coefficient field.
 """
 
 from .errors import (
+    ConstantPowerTooLargeError,
     ExponentNegativeError,
     ExponentTooLargeError,
     ExpressionSyntaxError,
@@ -63,6 +64,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BiSeries",
+    "ConstantPowerTooLargeError",
     "ExponentNegativeError",
     "ExponentTooLargeError",
     "ExpressionSyntaxError",

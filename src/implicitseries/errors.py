@@ -73,5 +73,9 @@ class ExponentTooLargeError(ExpressionSyntaxError):
     """An exponent tower in an expression reaches 2^64 or more."""
 
 
+class ConstantPowerTooLargeError(ImplicitSeriesError):
+    """A power of a constant over Q would exceed the lowering size cap."""
+
+
 class UnexpectedVariableError(ImplicitSeriesError):
     """An expression uses a variable the caller did not allow."""

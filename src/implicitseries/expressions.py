@@ -19,7 +19,9 @@ costs interpreter stack; parentheses nest at most ``MAX_PAREN_DEPTH``
 (100) deep, and everything else may repeat without bound.  The pass
 converts each literal to the field once and emits postfix code, which
 lowering runs on sparse term maps cut to the box, so its cost follows
-the terms of the expression, not the size of the box.  Syntax problems
+the terms of the expression, not the size of the box; over Q it refuses
+a constant power too large to compute exactly with
+:class:`ConstantPowerTooLargeError`.  Syntax problems
 raise :class:`ExpressionSyntaxError` with the byte offset of the
 offending token; a rational literal that does not denote an element of
 the target field (zero denominator, or denominator divisible by the
@@ -29,6 +31,7 @@ characteristic) raises :class:`LiteralNotInFieldError`.
 from __future__ import annotations
 
 from .errors import (
+    ConstantPowerTooLargeError,
     ExponentNegativeError,
     ExponentTooLargeError,
     ExpressionSyntaxError,
@@ -40,6 +43,11 @@ from .series import BiSeries, UniSeries
 
 _SYMBOLS = set("+-*/^()")
 MAX_PAREN_DEPTH = 100
+# over Q, c^m for a constant term c other than 0 and +-1 is refused when
+# m times the bit length of c's numerator or denominator exceeds this; a
+# bigger c^m would not print anyway (str() stops at 4300 digits, about
+# 14300 bits), and every later product pays for its size
+MAX_CONSTANT_POWER_BITS = 1 << 14
 
 
 def _tokenize(text: str) -> list:
@@ -188,6 +196,9 @@ def lower_expression(code, field: Field, x_order: int, y_order: int) -> BiSeries
     the terms of the expression, not to the box.  Monomials beyond the
     box truncate away silently, consistent with reading the expression
     in the quotient ring; ``a^0`` is 1 for every ``a``, including zero.
+    Over Q, ``a^m`` raises :class:`ConstantPowerTooLargeError` when the
+    constant term of ``a`` is not 0 or +-1 and its m-th power would
+    exceed ``MAX_CONSTANT_POWER_BITS``.
     """
     norm = field.normalize
     p = field.characteristic
@@ -202,6 +213,15 @@ def lower_expression(code, field: Field, x_order: int, y_order: int) -> BiSeries
         return {key: v for key, c in out.items() if (v := norm(c))}
 
     def power(base, m):
+        # the constant term of base^m is c^m, computed exactly over Q
+        c = base.get((0, 0), 0)
+        if not p and m > 1 and c not in (0, 1, -1):
+            bits = m * max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+            if bits > MAX_CONSTANT_POWER_BITS:
+                raise ConstantPowerTooLargeError(
+                    f"a constant term to the power {m} would take about {bits} "
+                    f"bits, more than {MAX_CONSTANT_POWER_BITS}"
+                )
         if len(base) == 1:
             ((i, j), c), = base.items()
             if i * m > x_order or j * m > y_order:

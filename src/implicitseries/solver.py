@@ -19,6 +19,14 @@ coefficients plus the surrounding machinery:
   after the substitution X -> X*Y; the diagonal entries come from one
   exact quotient (``BiSeries`` ``/``) on the box (n, n - 1).
 
+Over Q both extraction sweeps run in integers: with d the lcm of the
+denominators of P on the working box, d * P is integral, and the m-th
+term is the extraction from (d - d * dP/dY) * (d * P)^m divided by
+d^(m+1) (theorem), or from (d * P)^m divided by m * d^m (char0).  So
+the products see no ``Fraction`` and skip the gcd per cell, leaving one
+rational operation per nonzero (n, m) term; for integral P, d = 1 and the
+sweep is the plain one.
+
 ``solve_series`` is the single entry point that runs any of them on an
 ``ImplicitProblem`` and re-substitutes the result into its equation;
 ``furstenberg_solve`` and ``factor_out_root`` also take a
@@ -35,6 +43,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from math import lcm
+from operator import attrgetter
 
 from .errors import (
     FieldMismatchError,
@@ -191,6 +202,14 @@ def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
     exactly that.  P^m is maintained as a running product and the sweep
     stops early once the power vanishes on the working box (all later
     terms are then identically zero).
+
+    Over Q, with ``den`` the lcm of the denominators on the working box,
+    the sweep multiplies the integral ``den * P`` instead, with
+    ``den - den * dP/dY`` for D, and weights term m by 1/den^(m+1)
+    (theorem) or 1/(m * den^m) (char0); the weight is the only rational
+    factor, applied once per nonzero coefficient of a term.  ``den = 1``
+    (every integral P, and GF(p), where den is not taken) leaves P, D
+    and the weights 1 and 1/m as they are.
     """
     field = prob.field
     p = prob.p
@@ -204,11 +223,19 @@ def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
     # columns up to m_top - 1 feed the extractions; the derivative
     # factor additionally reads P's column m_top
     work = p.resized(n_max, m_top)
+    # over Q, scale P to the integral den * P (see above)
+    den = 1
+    if not field.characteristic:
+        c = work._c
+        den = lcm(*map(attrgetter("denominator"), compress(c, c)))
+        if den > 1:
+            c = [v.numerator * (den // v.denominator) for v in c]
+            work = BiSeries._raw(field, c, work._w)
     if char_zero_form:
         d_terms = [(0, 0, 1)]  # no derivative factor; weight 1/m instead
     else:
-        d = BiSeries.one(field, n_max, m_top - 1) - work.hasse_derivative(1)
-        d_terms = d.nonzero_terms()
+        d = BiSeries.monomial(field, den, 0, 0, n_max, m_top - 1)
+        d_terms = (d - work.hasse_derivative(1)).nonzero_terms()
     factor = work.resized(n_max, m_top - 1)
     # the inner loop reads each power's flat row-major list directly, for
     # speed: X^i Y^j sits at i * width + j, so the cell a term X^a Y^b of D
@@ -221,7 +248,10 @@ def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
         col = m - 1
         n_lo_sum = (m + 2) // 2  # smallest n with m <= 2n - 1
         n_lo = max(1, (m + 2 - extra_m) // 2)
-        w = Fraction(1, m) if char_zero_form else 1
+        if char_zero_form:
+            w = Fraction(1, m * den**m)
+        else:
+            w = Fraction(1, den ** (m + 1)) if den > 1 else 1
         flat = cur._c
         for n in range(n_lo, n_max + 1):
             s = 0

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -277,6 +278,30 @@ def test_exponent_tower_reaching_2_64_exits_2(poly):
     assert result.stderr == (
         "error: exponent tower reaches 2^64 or more (byte offset 6)\n"
     )
+
+
+@pytest.mark.parametrize("poly", ["X + 2^99^9", "X + Y^2*(2+X)^99999999999"])
+def test_constant_power_over_q_beyond_the_cap_exits_1(poly):
+    # a fresh process with a timeout and a 400 MB address-space cap, so a
+    # constant power computed exactly fails the test instead of hanging it
+    # or exhausting memory
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "implicitseries.cli",
+            "solve", "--field", "q", "--poly", poly, "--order", "3",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=cap_memory,
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("error: a constant term to the power ")
+    assert result.stderr.endswith(" bits, more than 16384\n")
+    assert result.stderr.count("\n") == 1
 
 
 def test_composite_modulus_exits_1(capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from implicitseries import (
     BiSeries,
+    ConstantPowerTooLargeError,
     ExponentNegativeError,
     ExponentTooLargeError,
     ExpressionSyntaxError,
@@ -23,6 +24,7 @@ from implicitseries import (
     lower_univariate,
     parse_expression,
 )
+from implicitseries.expressions import MAX_CONSTANT_POWER_BITS
 
 from conftest import FIELDS, make_rng, random_biseries
 
@@ -127,6 +129,37 @@ def test_exponent_towers_reaching_2_64_rejected():
     assert lower("X + Y^2^63 + Y^3^40", Q, 2, 2) == lower("X", Q, 2, 2)
     assert lower("2^2^2^2 + 1^99^9", Q, 0, 0).coeff(0, 0).value == 65537
     assert lower("X^18446744073709551616", Q, 2, 0).is_zero()
+
+
+def test_constant_powers_over_q_capped():
+    # over Q, c^m is computed exactly: refused before that once m times the
+    # bits of c's numerator or denominator exceed MAX_CONSTANT_POWER_BITS
+    assert MAX_CONSTANT_POWER_BITS == 1 << 14
+    for text in [
+        "X + 2^99^9",
+        "X + Y^2*(2+X)^99999999999",
+        "X + (1/2 - Y)^99999999999",
+        "2^8193",
+        "(-3/4*X + 5/4)^5462",
+    ]:
+        with pytest.raises(ConstantPowerTooLargeError):
+            lower(text)
+    assert issubclass(ConstantPowerTooLargeError, ImplicitSeriesError)
+    assert not issubclass(ConstantPowerTooLargeError, ExpressionSyntaxError)
+    # just below the cap, or with a constant term of 0 or +-1, or over GF(p),
+    # powers still lower
+    assert lower("2^8192", Q, 0, 0).coeff(0, 0).value == 2**8192
+    assert lower("(5/4 + X)^5461", Q, 1, 0).coeff(1, 0).value == 5461 * Fraction(
+        5, 4
+    ) ** 5460
+    assert lower("(-1+X)^99999999999 + (1-Y)^99999999999", Q, 1, 1) == lower(
+        "-99999999999*Y - 1 + 99999999999*X + 1", Q, 1, 1
+    )
+    assert lower("(X+Y)^99999999999 + 0^99999999999", Q, 3, 3).is_zero()
+    assert lower("X + 2^99^9", F7, 1, 0) == lower(f"X + {pow(2, 99**9, 7)}", F7, 1, 0)
+    assert lower("(2+X)^99999999999", F7, 1, 1).coeff(1, 0).value == (
+        99999999999 * pow(2, 99999999998, 7) % 7
+    )
 
 
 def test_literals_validated_against_field():

@@ -1,5 +1,6 @@
 """Solver methods: validation, the four routes to f, and their identities."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -202,6 +203,72 @@ def test_extraction_sums_unchanged_by_tail_window():
     widened = _extraction_vectors(prob, 6, extra_m=4)
     assert plain[0] == widened[0]
     assert all(v == 0 for v in widened[1])
+
+
+def _fractional_problems():
+    """(P, n, lcm of the denominators on the working box) over Q."""
+    f = Fraction
+    cases = [
+        # coprime denominators
+        ([(1, 0, f(1, 2)), (1, 1, f(1, 3)), (0, 2, f(1, 5)), (0, 3, f(1, 7))], 7, 13, 210),
+        # negative fractions
+        ([(1, 0, f(-1, 3)), (0, 2, f(-5, 4)), (1, 2, f(-7, 6)), (2, 0, -2)], 6, 11, 12),
+        # one Fraction among int coefficients
+        ([(1, 0, 2), (0, 2, 3), (1, 1, f(1, 3)), (0, 3, -4)], 6, 11, 3),
+        # Y-free: f = P(X)
+        ([(1, 0, f(1, 2)), (2, 0, f(2, 3)), (5, 0, f(-1, 9))], 6, 11, 18),
+        # integral: the plain path
+        ([(1, 0, 1), (0, 2, -2), (1, 3, 5)], 7, 13, 1),
+        # the Fraction lies beyond the working box in X, so it is left out
+        ([(1, 0, 1), (0, 2, 1), (7, 0, f(1, 2))], 6, 11, 1),
+    ]
+    for terms, n, ny, den in cases:
+        yield BiSeries.from_terms(Q, terms, max(n, 7), ny), n, den
+    # truncated input, known exactly on the box the sweep needs
+    p = BiSeries.from_terms(Q, [(1, 0, f(3, 5)), (0, 2, f(1, 4)), (2, 3, f(-1, 6))], 5, 9)
+    yield p, 5, 60
+
+
+def test_extraction_over_q_with_a_common_denominator():
+    # over Q the sweep runs on den * P in integers, den the lcm of the
+    # denominators on the working box, and divides term m by den^(m+1)
+    # (theorem) or m * den^m (char0): the answers are the oracle's, payload
+    # for payload, and the tail terms still vanish
+    for polynomial in (True, False):
+        for p, n, den in _fractional_problems():
+            work = p.resized(n, 2 * n + 3)._c
+            assert math.lcm(*(Fraction(c).denominator for c in work)) == den
+            prob = ImplicitProblem(p, is_polynomial=polynomial)
+            oracle = linear_fixed_point(prob, n)
+            for char0 in (False, True):
+                sums, tails, _ = _extraction_vectors(
+                    prob, n, extra_m=4, char_zero_form=char0
+                )
+                assert repr(sums) == repr(oracle._c), (p, char0)
+                assert tails == [0] * (n + 1)
+                method = "char0" if char0 else "theorem"
+                report = solve_series(prob, n, method)
+                assert report.solution == oracle and report.residual_zero
+
+
+def test_extraction_over_q_multiplies_only_ints(monkeypatch):
+    # with P scaled by its common denominator, no product the sweep makes
+    # holds a Fraction, so none pays a gcd per cell
+    operands = []
+    mul = BiSeries.__mul__
+
+    def recording(self, other):
+        operands.extend((self._c, other._c))
+        return mul(self, other)
+
+    monkeypatch.setattr(BiSeries, "__mul__", recording)
+    for p, n, den in _fractional_problems():
+        for method in ("theorem", "char0"):
+            operands.clear()
+            report = solve_series(ImplicitProblem(p), n, method)
+            assert report.residual_zero
+            assert operands
+            assert not any(type(c) is Fraction for c in itertools.chain(*operands))
 
 
 def test_per_m_term_groups_differ_but_totals_agree():
