@@ -18,6 +18,7 @@ rational bivariate series; all agree, over any coefficient field.
 """
 
 from .errors import (
+    BoxTooLargeError,
     ConstantPowerTooLargeError,
     ExponentNegativeError,
     ExponentTooLargeError,
@@ -64,6 +65,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BiSeries",
+    "BoxTooLargeError",
     "ConstantPowerTooLargeError",
     "ExponentNegativeError",
     "ExponentTooLargeError",

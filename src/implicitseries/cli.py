@@ -85,14 +85,52 @@ def _emit(args, method: str, field: Field, order, plain_lines, **body) -> int:
     return 0
 
 
+# str() of an int of at most this many bits stays under the smallest limit
+# on decimal digits that sys.set_int_max_str_digits accepts (640)
+_STR_BITS = 2000
+
+
+def _decimal(n: int) -> str:
+    """``str(n)``, also for ints beyond the interpreter's limit on digits.
+
+    A big int is split by a power of ten into two halves, each printed the
+    same way, the low half zero-padded to its width.
+    """
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    # n has about bits * log10(2) digits; the low half gets half of them
+    k = n.bit_length() * 3 // 20
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
+def _texts(payloads) -> list:
+    """Each coefficient payload as ``str`` prints it: ``n`` or ``num/den``.
+
+    ``str`` refuses ints beyond the interpreter's limit on digits; then
+    every int and ``Fraction`` part goes through ``_decimal``.
+    """
+    try:
+        return [str(c) for c in payloads]
+    except ValueError:
+        return [
+            _decimal(c) if type(c) is int
+            else f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
+            for c in payloads
+        ]
+
+
 def _series_strings(f: UniSeries) -> list:
-    return [str(c) for c in f._c]
+    return _texts(f._c)
 
 
 def _grid_strings(p: BiSeries) -> list:
     grid = [["0"] * (p.y_order + 1) for _ in range(p.x_order + 1)]
-    for i, j, c in p.nonzero_terms():
-        grid[i][j] = str(c)
+    terms = p.nonzero_terms()
+    for (i, j, _), text in zip(terms, _texts([c for _, _, c in terms])):
+        grid[i][j] = text
     return grid
 
 

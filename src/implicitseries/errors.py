@@ -73,6 +73,10 @@ class ExponentTooLargeError(ExpressionSyntaxError):
     """An exponent tower in an expression reaches 2^64 or more."""
 
 
+class BoxTooLargeError(ImplicitSeriesError):
+    """A truncation box would hold more than ``series.MAX_BOX_CELLS`` cells."""
+
+
 class ConstantPowerTooLargeError(ImplicitSeriesError):
     """A power of a constant over Q would exceed the lowering size cap."""
 

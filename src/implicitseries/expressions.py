@@ -39,14 +39,13 @@ from .errors import (
     UnexpectedVariableError,
 )
 from .fields import Field
-from .series import BiSeries, UniSeries
+from .series import BiSeries, UniSeries, _check_cells
 
 _SYMBOLS = set("+-*/^()")
 MAX_PAREN_DEPTH = 100
 # over Q, c^m for a constant term c other than 0 and +-1 is refused when
-# m times the bit length of c's numerator or denominator exceeds this; a
-# bigger c^m would not print anyway (str() stops at 4300 digits, about
-# 14300 bits), and every later product pays for its size
+# m times the bit length of c's numerator or denominator exceeds this:
+# every later product pays for the size of c^m
 MAX_CONSTANT_POWER_BITS = 1 << 14
 
 
@@ -198,8 +197,11 @@ def lower_expression(code, field: Field, x_order: int, y_order: int) -> BiSeries
     in the quotient ring; ``a^0`` is 1 for every ``a``, including zero.
     Over Q, ``a^m`` raises :class:`ConstantPowerTooLargeError` when the
     constant term of ``a`` is not 0 or +-1 and its m-th power would
-    exceed ``MAX_CONSTANT_POWER_BITS``.
+    exceed ``MAX_CONSTANT_POWER_BITS``.  A box of more than
+    ``series.MAX_BOX_CELLS`` cells raises :class:`BoxTooLargeError` before
+    the code runs.
     """
+    _check_cells(x_order, y_order)
     norm = field.normalize
     p = field.characteristic
 

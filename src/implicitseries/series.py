@@ -13,26 +13,39 @@ its box row-major, ``_w = y_order + 1`` entries per power of X, so the
 coefficient of ``X^i Y^j`` sits at ``_c[i * _w + j]``; a ``UniSeries``
 is the one-column case ``_w == 1``.  The shared base ``_Series`` holds
 the operand check, ``+``, ``-``, negation, the exact quotient ``/``,
-``==`` and ``hash`` for both.
+``==`` and ``hash`` for both.  Each series also carries ``_nz``, its
+support: the sorted flat indices of its nonzero entries, found once when
+first asked for (``_support``) or handed over by the product that built
+the series.
+
 Both types multiply through ``_product``.  Over GF(p), once the nonzero
 terms make ``_KRON_MIN_PAIRS`` pairs and the box has at most
 ``_KRON_CELLS_PER_PAIR`` cells per pair, ``_kron_mul`` packs each operand
 into one int, makes one big-int multiply and reads the product's
 coefficients back (Kronecker substitution).  Every other product, and
-every product over Q, is one schoolbook loop over the pairs of nonzero
-terms that land in the box; only its scans in C touch every cell.
+every product over Q, is one schoolbook loop over the pairs of the two
+supports that land in the box.  On a box of more than
+``_SPARSE_CELLS_PER_PAIR`` cells per pair, it sums into a dict and
+normalizes only the cells it touched, so a sparse product costs per
+nonzero pair, plus one zero fill of the result list.
+
+``zero``, which the builders and ``BiSeries.resized`` start from, refuses
+a box of more than ``MAX_BOX_CELLS`` cells with :class:`BoxTooLargeError`
+before allocating it.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import comb
 from operator import is_
 
 from .errors import (
+    BoxTooLargeError,
     FieldMismatchError,
     IndexOutOfTruncationError,
     NonzeroConstantTermError,
@@ -41,6 +54,24 @@ from .errors import (
     ShapeMismatchError,
 )
 from .fields import Field, FieldElement
+
+
+# The most cells a truncation box may hold, 32 MB of list per series on a
+# 64-bit build: ``zero`` and ``lower_expression`` refuse a larger box before
+# allocating it.  The CLI lowers P on (n, 2n - 1), so this admits orders up
+# to 1447.
+MAX_BOX_CELLS = 1 << 22
+
+
+def _check_cells(x_order: int, y_order: int) -> None:
+    """Raise ``BoxTooLargeError`` if the box (x_order, y_order) holds more
+    than ``MAX_BOX_CELLS`` cells."""
+    cells = (x_order + 1) * (y_order + 1)
+    if cells > MAX_BOX_CELLS:
+        raise BoxTooLargeError(
+            f"a truncation box of ({x_order}, {y_order}) holds {cells} cells, "
+            f"more than {MAX_BOX_CELLS}"
+        )
 
 
 def _binary_pow(base, m: int, one):
@@ -76,6 +107,10 @@ def _top_column(c: list, w: int, top: int, size=None) -> int:
 # cells per pair, not 1, leaves a full box times one term to the pairs.
 _KRON_MIN_PAIRS = 1000
 _KRON_CELLS_PER_PAIR = 2
+
+# The schoolbook loop sums into a dict, not the result list, when the box
+# has more than this many cells per pair of nonzero terms.
+_SPARSE_CELLS_PER_PAIR = 8
 
 _NATIVE_BIG_ENDIAN = sys.byteorder == "big"
 
@@ -142,26 +177,35 @@ def _kron_mul(p: int, a: list, b: list, w: int, k: int) -> list:
     return list(map(p.__rmod__, slots))
 
 
-def _product(field: Field, a: list, b: list, w: int) -> list:
-    """The normalized product of two row-major payload lists on one box.
+def _product(x, y):
+    """The product of two series of one type on one box, ``x * y``.
 
     ``_kron_mul`` computes it where it pays (see ``_KRON_MIN_PAIRS``),
-    else one loop does.  The sparser factor drives it; each of its terms
-    walks the other factor's terms in flat order, up to the first whose
-    flat sum leaves the box, and skips those whose columns sum past
-    ``w - 1``, so nothing wraps into the next row.
+    else one loop over the factors' supports (``_Series._support``, found
+    once per series) does.  The sparser factor drives it; each of its
+    terms walks the other factor's terms in flat order, up to the first
+    whose flat sum leaves the box, and skips those whose columns sum past
+    ``w - 1``, so nothing wraps into the next row.  When the box has more
+    than ``_SPARSE_CELLS_PER_PAIR`` cells per pair, the loop sums into a
+    dict keyed by flat index, only the touched cells are normalized and
+    the product gets its support, so only the zero fill of the result list
+    costs per cell; otherwise the loop sums into the result list and the
+    normalize pass skips unchanged cells in C.
     """
+    field, a, b, w = x.field, x._c, y._c, x._w
     size = len(a)
     p = field.characteristic
-    if p:  # count in C: index lists would cost the kernel 6%
-        na, nb = size - a.count(0), size - b.count(0)
+    if p:  # count in C when the supports are not known yet
+        na = size - a.count(0) if x._nz is None else len(x._nz)
+        nb = size - b.count(0) if y._nz is None else len(y._nz)
         if na * nb >= _KRON_MIN_PAIRS and na * nb * _KRON_CELLS_PER_PAIR >= size:
-            return _kron_mul(p, a, b, w, min(na, nb))
-    nz_a, nz_b = list(compress(range(size), a)), list(compress(range(size), b))
+            return x._raw(field, _kron_mul(p, a, b, w, min(na, nb)), w)
+    nz_a, nz_b = x._support(), y._support()
     if len(nz_b) < len(nz_a):
         a, b, nz_a, nz_b = b, a, nz_b, nz_a
+    sparse = len(nz_a) * len(nz_b) * _SPARSE_CELLS_PER_PAIR < size
     terms = [(t, t % w, b[t]) for t in nz_b]
-    out = [0] * size
+    out = defaultdict(int) if sparse else [0] * size
     for s in nz_a:
         ca, end, ycap = a[s], size - s, w - 1 - s % w
         for t, l, cb in terms:
@@ -169,22 +213,27 @@ def _product(field: Field, a: list, b: list, w: int) -> list:
                 break
             if l <= ycap:
                 out[s + t] += ca * cb
-    # normalize the sums in place.  Over GF(p) only the nonzero sums can
-    # change.  Over Q only Fraction sums can, and only when a factor holds a
-    # Fraction: sums of int products are ints.  The entries that cannot
-    # change are skipped in C, so a sparse product pays nothing for the
-    # empty part of its box.
-    if p:
-        todo = out
-    else:
+    # normalize the sums.  Over Q only Fraction sums can change, and only
+    # when a factor holds a Fraction: sums of int products are ints
+    norm = field.normalize
+    if not p:
         payloads = chain(map(a.__getitem__, nz_a), map(b.__getitem__, nz_b))
         if Fraction not in map(type, payloads):
-            return out
-        todo = map(is_, map(type, out), repeat(Fraction))
-    norm = field.normalize
-    for k in compress(range(size), todo):
-        out[k] = norm(out[k])
-    return out
+            norm = None
+    if sparse:
+        if norm:
+            out = {k: norm(v) for k, v in out.items()}
+        c = [0] * size
+        for k, v in out.items():
+            c[k] = v
+        return x._raw(field, c, w, sorted(compress(out, out.values())))
+    # the entries that cannot change are skipped in C: over GF(p) the zero
+    # sums, over Q those that are not Fractions
+    if norm:
+        todo = out if p else map(is_, map(type, out), repeat(Fraction))
+        for k in compress(range(size), todo):
+            out[k] = norm(out[k])
+    return x._raw(field, out, w)
 
 
 class _Series:
@@ -194,16 +243,31 @@ class _Series:
     plural noun and ``_shape()`` the value, e.g. ``orders`` and ``3``.
     """
 
-    __slots__ = ("field", "_c", "_w")
+    __slots__ = ("field", "_c", "_w", "_nz")
 
     @classmethod
-    def _raw(cls, field: Field, coeffs: list, w: int = 1):
-        # internal: coeffs must already be normalized payloads, w per row
+    def _raw(cls, field: Field, coeffs: list, w: int = 1, nz=None):
+        # internal: coeffs must already be normalized payloads, w per row;
+        # nz is their support, or None until first asked for
         obj = object.__new__(cls)
         obj.field = field
         obj._c = coeffs
         obj._w = w
+        obj._nz = nz
         return obj
+
+    def _support(self) -> list:
+        """The sorted flat indices of the nonzero entries, found once.
+
+        It is stored in ``_nz``, so the entries must not change after the
+        first call; the builders that fill a fresh ``zero()`` list do not
+        call it before their writes end.
+        """
+        nz = self._nz
+        if nz is None:
+            c = self._c
+            nz = self._nz = list(compress(range(len(c)), c))
+        return nz
 
     def _check_op(self, other):
         if not isinstance(other, type(self)):
@@ -258,7 +322,7 @@ class _Series:
         # (flat index, column, payload) of the divisor's non-constant
         # terms; a term X^k Y^l reaches cell X^i Y^j when its flat index
         # is at most the cell's and l <= j (which then forces k <= i)
-        terms = [(t, t % w, c[t]) for t in compress(range(len(c)), c) if t]
+        terms = [(t, t % w, c[t]) for t in other._support() if t]
         norm = field.normalize
         v = list(self._c)
         for p in range(len(v)):
@@ -303,6 +367,7 @@ class UniSeries(_Series):
         self.field = field
         self._c = [field.coerce(c) for c in coeffs]
         self._w = 1
+        self._nz = None
         if not self._c:
             raise ValueError("a series stores at least its constant coefficient")
 
@@ -310,6 +375,7 @@ class UniSeries(_Series):
     def zero(cls, field: Field, order: int) -> "UniSeries":
         if order < 0:
             raise ValueError("order must be >= 0")
+        _check_cells(order, 0)
         return cls._raw(field, [0] * (order + 1))
 
     @property
@@ -331,7 +397,7 @@ class UniSeries(_Series):
         return [FieldElement(self.field, c) for c in self._c]
 
     def is_zero(self) -> bool:
-        return not any(self._c)
+        return not any(self._c) if self._nz is None else not self._nz
 
     def resized(self, order: int) -> "UniSeries":
         """Truncate or zero-pad to the given order.
@@ -350,7 +416,7 @@ class UniSeries(_Series):
 
     def __mul__(self, other):
         self._check_op(other)
-        return UniSeries._raw(self.field, _product(self.field, self._c, other._c, 1))
+        return _product(self, other)
 
     def pow(self, m: int) -> "UniSeries":
         """Truncated m-th power, by binary exponentiation."""
@@ -391,11 +457,13 @@ class BiSeries(_Series):
         self.field = field
         self._c = [c for row in grid for c in row]
         self._w = width
+        self._nz = None
 
     @classmethod
     def zero(cls, field: Field, x_order: int, y_order: int) -> "BiSeries":
         if x_order < 0 or y_order < 0:
             raise ValueError("orders must be >= 0")
+        _check_cells(x_order, y_order)
         return cls._raw(field, [0] * ((x_order + 1) * (y_order + 1)), y_order + 1)
 
     @classmethod
@@ -462,10 +530,10 @@ class BiSeries(_Series):
     def nonzero_terms(self) -> list:
         """All nonzero ``(i, j, payload)`` triples in row-major order."""
         c, w = self._c, self._w
-        return [(k // w, k % w, c[k]) for k in compress(range(len(c)), c)]
+        return [(k // w, k % w, c[k]) for k in self._support()]
 
     def is_zero(self) -> bool:
-        return not any(self._c)
+        return not any(self._c) if self._nz is None else not self._nz
 
     def resized(self, x_order: int, y_order: int) -> "BiSeries":
         """Truncate or zero-pad each axis to the given orders; the series
@@ -489,8 +557,7 @@ class BiSeries(_Series):
 
     def __mul__(self, other):
         self._check_op(other)
-        w = self._w
-        return BiSeries._raw(self.field, _product(self.field, self._c, other._c, w), w)
+        return _product(self, other)
 
     def pow(self, m: int) -> "BiSeries":
         """Truncated m-th power, by binary exponentiation.

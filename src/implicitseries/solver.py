@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import lcm
-from operator import attrgetter
 
 from .errors import (
     FieldMismatchError,
@@ -222,26 +221,33 @@ def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
     m_top = 2 * n_max - 1 + extra_m
     # columns up to m_top - 1 feed the extractions; the derivative
     # factor additionally reads P's column m_top
-    work = p.resized(n_max, m_top)
+    terms = [t for t in p.nonzero_terms() if t[0] <= n_max and t[1] <= m_top]
     # over Q, scale P to the integral den * P (see above)
     den = 1
     if not field.characteristic:
-        c = work._c
-        den = lcm(*map(attrgetter("denominator"), compress(c, c)))
+        den = lcm(*(c.denominator for _, _, c in terms))
         if den > 1:
-            c = [v.numerator * (den // v.denominator) for v in c]
-            work = BiSeries._raw(field, c, work._w)
+            terms = [(i, j, c.numerator * (den // c.denominator)) for i, j, c in terms]
+    norm = field.normalize
     if char_zero_form:
-        d_terms = [(0, 0, 1)]  # no derivative factor; weight 1/m instead
+        d = {(0, 0): 1}  # no derivative factor; weight 1/m instead
     else:
-        d = BiSeries.monomial(field, den, 0, 0, n_max, m_top - 1)
-        d_terms = (d - work.hasse_derivative(1)).nonzero_terms()
-    factor = work.resized(n_max, m_top - 1)
+        # den - (den * P)_Y, where X^i Y^j of den * P gives -j X^i Y^(j-1)
+        d = {(0, 0): den}
+        for i, j, c in terms:
+            if j:
+                d[i, j - 1] = d.get((i, j - 1), 0) - j * c
+    # D by powers of Y: b -> [(a, c), ...] for its terms c X^a Y^b, a rising
+    d_cols = {}
+    for (a, b), c in sorted(d.items()):
+        if c := norm(c):
+            d_cols.setdefault(b, []).append((a, c))
+    factor = BiSeries.from_terms(
+        field, [t for t in terms if t[1] < m_top], n_max, m_top - 1
+    )
     # the inner loop reads each power's flat row-major list directly, for
-    # speed: X^i Y^j sits at i * width + j, so the cell a term X^a Y^b of D
-    # pairs with lies ``off`` entries before the target cell
+    # speed: X^i Y^j sits at i * width + j
     width = factor._w
-    d_terms = [(a, b, c, a * width + b) for a, b, c in d_terms]
     cur = factor
     m_stop = m_top
     for m in range(1, m_top + 1):
@@ -253,23 +259,26 @@ def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
         else:
             w = Fraction(1, den ** (m + 1)) if den > 1 else 1
         flat = cur._c
-        for n in range(n_lo, n_max + 1):
-            s = 0
-            cell = n * width + col
-            for a, b, c, off in d_terms:
-                if a <= n and b <= col:
-                    v = flat[cell - off]
-                    if v:
-                        s += c * v
-            if s:
-                bucket = sums if n >= n_lo_sum else tails
-                bucket[n] += w * s
+        acc = [0] * (n_max + 1)  # the term of m for each n, before weighting
+        for b, col_terms in d_cols.items():
+            if b <= col:
+                # X^r Y^(col-b) of the power, from the first row r that
+                # reaches n_lo; compress skips its zeros in C
+                r0 = max(0, n_lo - col_terms[-1][0])
+                column = flat[r0 * width + col - b :: width]
+                for r, v in compress(enumerate(column, r0), column):
+                    for a, c in col_terms:
+                        if r + a > n_max:
+                            break
+                        acc[r + a] += c * v
+        for n in compress(range(n_lo, n_max + 1), acc[n_lo:]):
+            bucket = sums if n >= n_lo_sum else tails
+            bucket[n] += w * acc[n]
         if m < m_top:
             cur = cur * factor
             if cur.is_zero():
                 m_stop = m
                 break  # all later powers vanish on the box too
-    norm = field.normalize
     sums = [norm(v) for v in sums]
     tails = [norm(v) for v in tails]
     return sums, tails, m_stop

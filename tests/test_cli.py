@@ -1,11 +1,14 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
 import dataclasses
+import decimal
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -280,28 +283,77 @@ def test_exponent_tower_reaching_2_64_exits_2(poly):
     )
 
 
-@pytest.mark.parametrize("poly", ["X + 2^99^9", "X + Y^2*(2+X)^99999999999"])
-def test_constant_power_over_q_beyond_the_cap_exits_1(poly):
-    # a fresh process with a timeout and a 400 MB address-space cap, so a
-    # constant power computed exactly fails the test instead of hanging it
-    # or exhausting memory
+def _capped_process(argv, megabytes):
+    """Run the CLI in a fresh process with a 10 s timeout and an
+    address-space cap, so a fault fails the test instead of hanging it or
+    exhausting memory."""
     def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+        limit = megabytes << 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    result = subprocess.run(
-        [
-            sys.executable, "-m", "implicitseries.cli",
-            "solve", "--field", "q", "--poly", poly, "--order", "3",
-        ],
+    return subprocess.run(
+        [sys.executable, "-m", "implicitseries.cli", *argv],
         capture_output=True,
         text=True,
         timeout=10,
         preexec_fn=cap_memory,
     )
+
+
+@pytest.mark.parametrize("poly", ["X + 2^99^9", "X + Y^2*(2+X)^99999999999"])
+def test_constant_power_over_q_beyond_the_cap_exits_1(poly):
+    # a constant power computed exactly would hang or exhaust memory
+    result = _capped_process(
+        ["solve", "--field", "q", "--poly", poly, "--order", "3"], 400
+    )
     assert (result.returncode, result.stdout) == (1, "")
     assert result.stderr.startswith("error: a constant term to the power ")
     assert result.stderr.endswith(" bits, more than 16384\n")
     assert result.stderr.count("\n") == 1
+
+
+def test_box_beyond_max_box_cells_exits_1():
+    # order 8000 asks for P on a (8000, 15999) box; allocated, it raised
+    # MemoryError in a 600 MB address space
+    result = _capped_process(
+        [
+            "solve", "--field", "q", "--poly", "X+Y^2", "--order", "8000",
+            "--method", "fixpoint",
+        ],
+        600,
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == (
+        "error: a truncation box of (8000, 15999) holds 128016000 cells, "
+        "more than 4194304\n"
+    )
+
+
+def test_answers_beyond_4300_digits_print():
+    # f = X + c f^2 for c = 2^8192 has [X^2] f = c and [X^3] f = 2 c^2 =
+    # 2^16385, of 4933 digits: beyond the digits str() prints by default
+    result = _capped_process(
+        ["solve", "--field", "q", "--poly", "X + 2^8192*Y^2", "--order", "3"], 600
+    )
+    with decimal.localcontext() as ctx:
+        ctx.prec = 6000
+        digits = [str(decimal.Decimal(2) ** e) for e in (8192, 16385)]
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == f"0: 0\n1: 1\n2: {digits[0]}\n3: {digits[1]}\n"
+
+
+def test_coefficient_text_is_str_within_its_limit():
+    # one value beyond str()'s limit on digits sends every value of the list
+    # through the piecewise conversion, which prints the others as str() does
+    rng = random.Random("implicitseries:decimal")
+    limit = sys.get_int_max_str_digits() or 4300
+    values = [0, 1, -1, 10**3, 10 ** (limit - 1), -(10**limit - 1)]
+    for bits in range(1, int(limit * 3.3), 97):
+        n = rng.getrandbits(bits) + 2
+        values += [n, -n, 10 ** (bits * 3 // 10), 10 ** (bits * 3 // 10) - 1]
+        values.append(Fraction(-n, n + 1))
+    texts = cli._texts(values + [10**limit])
+    assert texts == [str(v) for v in values] + ["1" + "0" * limit]
 
 
 def test_composite_modulus_exits_1(capsys):

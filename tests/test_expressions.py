@@ -9,6 +9,7 @@ import pytest
 
 from implicitseries import (
     BiSeries,
+    BoxTooLargeError,
     ConstantPowerTooLargeError,
     ExponentNegativeError,
     ExponentTooLargeError,
@@ -25,6 +26,7 @@ from implicitseries import (
     parse_expression,
 )
 from implicitseries.expressions import MAX_CONSTANT_POWER_BITS
+from implicitseries.series import MAX_BOX_CELLS
 
 from conftest import FIELDS, make_rng, random_biseries
 
@@ -129,6 +131,21 @@ def test_exponent_towers_reaching_2_64_rejected():
     assert lower("X + Y^2^63 + Y^3^40", Q, 2, 2) == lower("X", Q, 2, 2)
     assert lower("2^2^2^2 + 1^99^9", Q, 0, 0).coeff(0, 0).value == 65537
     assert lower("X^18446744073709551616", Q, 2, 0).is_zero()
+
+
+def test_boxes_beyond_max_box_cells_refused_before_lowering():
+    # the box is checked before the code runs: this code fails on its
+    # unknown operation once it runs
+    bogus = [("bogus", None)]
+    for nx, ny in [(MAX_BOX_CELLS, 0), (0, MAX_BOX_CELLS), (2048, 2047), (8000, 15999)]:
+        with pytest.raises(BoxTooLargeError):
+            lower_expression(bogus, Q, nx, ny)
+    with pytest.raises(BoxTooLargeError):
+        lower_univariate(parse_expression("1 + Y", Q), Q, MAX_BOX_CELLS)
+    with pytest.raises(ValueError, match="not a postfix operation"):
+        lower_expression(bogus, Q, 2047, 2047)
+    assert issubclass(BoxTooLargeError, ImplicitSeriesError)
+    assert not issubclass(BoxTooLargeError, ExpressionSyntaxError)
 
 
 def test_constant_powers_over_q_capped():

@@ -7,6 +7,7 @@ import pytest
 
 from implicitseries import (
     BiSeries,
+    BoxTooLargeError,
     FieldMismatchError,
     IndexOutOfTruncationError,
     NonzeroConstantTermError,
@@ -169,6 +170,26 @@ def test_biseries_builders():
     assert BiSeries.one(Q, 1, 1).nonzero_terms() == [(0, 0, 1)]
 
 
+def test_boxes_beyond_max_box_cells_refused():
+    # zero() refuses a box of more than MAX_BOX_CELLS cells before
+    # allocating it, and so do the builders and resized that start from it
+    cap = series.MAX_BOX_CELLS
+    assert len(UniSeries.zero(Q, cap - 1)._c) == cap
+    refused = [
+        lambda: UniSeries.zero(Q, cap),
+        lambda: BiSeries.zero(Q, 2048, 2047),
+        lambda: BiSeries.zero(Q, 0, cap),
+        lambda: BiSeries.one(Q, 8000, 15999),
+        lambda: BiSeries.monomial(Q, 1, 0, 1, 4096, 4096),
+        lambda: BiSeries.from_terms(Q, [(1, 0, 1)], cap, 1),
+        lambda: BiSeries.from_uniseries(UniSeries(Q, [0, 1]), cap),
+        lambda: BiSeries.one(Q, 1, 1).resized(4096, 1023),
+    ]
+    for make in refused:
+        with pytest.raises(BoxTooLargeError, match=f"more than {cap}"):
+            make()
+
+
 def test_biseries_resized_and_shape_checks():
     p = BiSeries.from_terms(Q, [(1, 1, 3)], 2, 2)
     small = p.resized(1, 1)
@@ -185,13 +206,18 @@ def test_biseries_resized_and_shape_checks():
         p * UniSeries(Q, [1])
 
 
+def _sparse_terms(rng, field, nx, ny, count):
+    """``count`` random ``(i, j, value)`` triples on the box (nx, ny)."""
+    return [
+        (rng.randint(0, nx), rng.randint(0, ny), random_value(rng, field))
+        for _ in range(count)
+    ]
+
+
 def _sparse_or_dense_biseries(rng, field, nx, ny):
     if rng.random() < 0.5:
         return random_biseries(rng, field, nx, ny)
-    terms = [
-        (rng.randint(0, nx), rng.randint(0, ny), random_value(rng, field))
-        for _ in range(rng.randint(0, 3))
-    ]
+    terms = _sparse_terms(rng, field, nx, ny, rng.randint(0, 3))
     return BiSeries.from_terms(field, terms, nx, ny)
 
 
@@ -240,15 +266,120 @@ def test_products_match_the_textbook_convolution():
             assert (edge * y).is_zero() and (y * edge).is_zero()
             assert (edge + y) * y == _textbook_product(edge + y, y)
 
-    # powers of Catalan's X + Y^2 on (64, 127): few terms on a large box
+    # the powers P^2 .. P^255 of Catalan's X + Y^2 on (128, 255), few terms
+    # on a large box, each built from the last, so the supports the sparse
+    # loop hands its results are carried through the chain; both operand
+    # orders
     for field in (Q, PrimeField(10007)):
-        p = BiSeries.from_terms(field, [(1, 0, 1), (0, 2, 1)], 64, 127)
+        p = BiSeries.from_terms(field, [(1, 0, 1), (0, 2, 1)], 128, 255)
         power = p
-        for k in range(2, 66):
-            assert p * power == _textbook_product(p, power)
-            if k % 8 == 0:
-                assert power * power == _textbook_product(power, power)
+        for k in range(2, 256):
+            expected = _textbook_product(p, power)
+            assert power * p == expected
             power = p * power
+            assert power == expected
+            if k % 16 == 0:
+                assert power * power == _textbook_product(power, power)
+
+
+def _support_of(s):
+    return [k for k, c in enumerate(s._c) if c]
+
+
+def test_sparse_products_match_the_textbook_convolution():
+    # few terms on large boxes, so the loop sums into a dict: against the
+    # double loop in both operand orders, with the support the result carries
+    rng = make_rng("sparse-definition")
+    for field in (Q, PrimeField(10007), PrimeField(2)):
+        for nx, ny in [(0, 400), (400, 0), (60, 90), (90, 60), (30, 300)]:
+            for _ in range(6):
+                a, b = (
+                    BiSeries.from_terms(field, _sparse_terms(rng, field, nx, ny, k), nx, ny)
+                    for k in (5, 9)
+                )
+                for x, y in ((a, b), (b, a)):
+                    product = x * y
+                    assert product == _textbook_product(x, y)
+                    assert product._nz == _support_of(product)
+    # sums that cancel leave the support: (1 + X)(1 - X) = 1 - X^2, and the
+    # Fraction sums normalize to ints: (1/2 + 1/2 Y)(2 - 2 Y) = 1 - Y^2
+    u = UniSeries(Q, [1, 1] + [0] * 99)
+    v = UniSeries(Q, [1, -1] + [0] * 99)
+    assert (u * v)._c == [1, 0, -1] + [0] * 98 and (u * v)._nz == [0, 2]
+    half = BiSeries.from_terms(Q, [(0, 0, Fraction(1, 2)), (0, 1, Fraction(1, 2))], 9, 9)
+    two = BiSeries.from_terms(Q, [(0, 0, 2), (0, 1, -2)], 9, 9)
+    product = half * two
+    assert product.nonzero_terms() == [(0, 0, 1), (0, 2, -1)]
+    assert all(type(c) is int for c in product._c) and product._nz == [0, 2]
+    # over GF(p) too: (1 + X)(1 + 6 X) = 1 + 6 X^2 over GF(7)
+    f7 = PrimeField(7)
+    product = UniSeries(f7, [1, 1] + [0] * 40) * UniSeries(f7, [1, 6] + [0] * 40)
+    assert product._c == [1, 0, 6] + [0] * 39 and product._nz == [0, 2]
+
+
+def test_support_matches_the_entries():
+    # _nz is None until asked for, then the sorted nonzero flat indices; the
+    # builders that write into a fresh zero() list, the coefficientwise
+    # operations and every product path leave it equal to the entries
+    rng = make_rng("support")
+    fp = PrimeField(10007)
+    made = []
+    for field in (Q, fp):
+        f = UniSeries(field, [0, 1, 4, 0])
+        a = BiSeries.from_terms(field, _sparse_terms(rng, field, 6, 9, 6), 6, 9)
+        dense = random_biseries(rng, field, 6, 9)
+        unit = BiSeries.one(field, 6, 9) + a * BiSeries.monomial(field, 1, 1, 0, 6, 9)
+        made += [
+            BiSeries.zero(field, 3, 4), UniSeries.zero(field, 5),
+            BiSeries.one(field, 6, 9), BiSeries.monomial(field, 3, 2, 5, 6, 9),
+            BiSeries.monomial(field, 3, 7, 0, 6, 9), a, dense, f,
+            BiSeries.from_uniseries(f, 4), a.resized(9, 3), a.resized(3, 12),
+            a + dense, a - a, -a, dense / unit, a / unit, f.resized(9),
+            a * a, a * dense, dense * dense, f * f, a.column(1), a.diagonal(),
+            a.hasse_derivative(2), dense.subst_y(UniSeries(field, list(range(7)))),
+        ]
+    # the Kronecker kernel, over GF(p)
+    big = random_biseries(rng, fp, 24, 47)
+    made.append(big * big)
+    for s in made:
+        assert s._nz is None or s._nz == _support_of(s)
+        assert s._support() == _support_of(s)
+        assert s.is_zero() == (not any(s._c))
+    # a product reads its operands' supports and keeps them
+    x = BiSeries.from_terms(Q, [(0, 1, 1), (2, 0, 3)], 20, 20)
+    assert x._nz is None
+    y = x * x
+    assert x._nz == [1, 42] and y._nz == _support_of(y) == [2, 43, 84]
+    assert not y.is_zero()
+    assert (x * BiSeries.monomial(Q, 1, 20, 20, 20, 20)).is_zero()
+
+
+def test_sparse_loop_runs_only_where_it_pays(kron_calls):
+    # the dict loop runs, and sets the product's support, once the box has
+    # more than _SPARSE_CELLS_PER_PAIR cells per pair of nonzero terms;
+    # otherwise the loop sums into the result list and leaves it unset
+    c = series._SPARSE_CELLS_PER_PAIR
+    for field in (Q, PrimeField(10007)):
+        x = UniSeries(field, [0, 1] + [0] * 8 * c)
+        for order, dict_loop in ((8 * c - 1, False), (8 * c, True)):
+            # 8 nonzero terms times X: 8 pairs on order + 1 cells
+            b = UniSeries(field, [1] * 8 + [0] * (order - 7))
+            product = x.resized(order) * b
+            assert product._c == [0] + b._c[:-1]
+            assert (product._nz is not None) == dict_loop
+    # over GF(p), the Kronecker test reads known supports: the sparse powers
+    # of a chain stay on the loop, a dense product goes to the kernel
+    fp = PrimeField(10007)
+    p = BiSeries.from_terms(fp, [(1, 0, 1), (0, 2, 1)], 64, 127)
+    power = p
+    for _ in range(40):
+        power = p * power
+        assert power._nz is not None
+    assert kron_calls == []
+    dense = random_biseries(make_rng("sparse-dispatch"), fp, 24, 47)
+    dense._support()
+    dense * dense
+    assert len(kron_calls) == 1
 
 
 def _dense_below(rng, field, nx, ny, top):
