@@ -12,15 +12,17 @@ Six subcommands operate on polynomial expressions in X and Y (see
 
 Exit status: 0 on success, 1 for domain or validation failures (bad
 field, invalid problem, literal outside the field), 2 for syntax errors
-in the expression or the command line.  Plain output is one value per
-line on stdout; ``--output json`` emits a single JSON line.  All output
-is deterministic: equal invocations produce byte-identical results.
+in the expression or the command line; a stdout closed by its reader
+ends the run quietly with 1.  Plain output is one value per line on
+stdout; ``--output json`` emits a single JSON line.  All output is
+deterministic: equal invocations produce byte-identical results.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import ExpressionSyntaxError, ImplicitSeriesError
@@ -324,12 +326,26 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except ExpressionSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ImplicitSeriesError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout: stop quietly, with stdout's descriptor on
+        # devnull so the interpreter's final flush does not raise again
+        # (Python docs, "Note on SIGPIPE"); a stdout without one is left be
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError):
+            return 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
         return 1
 
 

@@ -27,7 +27,11 @@ every product over Q, is one schoolbook loop over the pairs of the two
 supports that land in the box.  On a box of more than
 ``_SPARSE_CELLS_PER_PAIR`` cells per pair, it sums into a dict and
 normalizes only the cells it touched, so a sparse product costs per
-nonzero pair, plus one zero fill of the result list.
+nonzero pair, plus one zero fill of the result list.  Over Q the loop
+always multiplies ints: a factor that holds a ``Fraction`` is scaled to
+integers over the lcm of its denominators (``_integral``), and each
+result cell becomes one ``Fraction`` over the product of the two lcms,
+so a product pays a gcd per result cell, not per term pair.
 
 ``zero``, which the builders and ``BiSeries.resized`` start from, refuses
 a box of more than ``MAX_BOX_CELLS`` cells with :class:`BoxTooLargeError`
@@ -40,9 +44,8 @@ import sys
 from array import array
 from collections import defaultdict
 from fractions import Fraction
-from itertools import chain, compress, repeat
-from math import comb
-from operator import is_
+from itertools import chain, compress
+from math import comb, lcm
 
 from .errors import (
     BoxTooLargeError,
@@ -53,7 +56,7 @@ from .errors import (
     OrderExceededError,
     ShapeMismatchError,
 )
-from .fields import Field, FieldElement
+from .fields import Field, FieldElement, _demote
 
 
 # The most cells a truncation box may hold, 32 MB of list per series on a
@@ -177,6 +180,19 @@ def _kron_mul(p: int, a: list, b: list, w: int, k: int) -> list:
     return list(map(p.__rmod__, slots))
 
 
+def _integral(values: list):
+    """``(den, ints)`` for a list of rational payloads: ``den`` is the lcm
+    of their denominators and ``ints`` holds the integers ``den * v``, in
+    order.  Without a ``Fraction`` among them it is ``(1, values)``."""
+    if Fraction not in map(type, values):
+        return 1, values
+    # a list, not a generator: lcm(*generator) grows and shrinks its
+    # argument tuple, which CPython then frees into the free list of
+    # another size, so each call would keep one more tuple alive
+    den = lcm(*[v.denominator for v in values])
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
 def _product(x, y):
     """The product of two series of one type on one box, ``x * y``.
 
@@ -190,7 +206,15 @@ def _product(x, y):
     dict keyed by flat index, only the touched cells are normalized and
     the product gets its support, so only the zero fill of the result list
     costs per cell; otherwise the loop sums into the result list and the
-    normalize pass skips unchanged cells in C.
+    normalize pass skips the zero sums in C.
+
+    Over Q, when a factor holds a ``Fraction``, the loop runs on integers
+    over one common denominator: ``da`` and ``db``, the lcms of the
+    denominators on each factor's support (``_integral``), scale the
+    factors to integers, and each touched cell becomes one normalized
+    ``Fraction(v, da * db)``, an int when integral.  So a product pays one
+    gcd per result cell, not one per term pair.  Products of ints are
+    final as they are.
     """
     field, a, b, w = x.field, x._c, y._c, x._w
     size = len(a)
@@ -203,6 +227,21 @@ def _product(x, y):
     nz_a, nz_b = x._support(), y._support()
     if len(nz_b) < len(nz_a):
         a, b, nz_a, nz_b = b, a, nz_b, nz_a
+    norm = field.normalize if p else None
+    if not p:
+        payloads = chain(map(a.__getitem__, nz_a), map(b.__getitem__, nz_b))
+        if Fraction in map(type, payloads):
+            # the loop reads a and b on the supports only: dicts of the
+            # integers there stand in for them
+            da, ints = _integral(list(map(a.__getitem__, nz_a)))
+            a = dict(zip(nz_a, ints))
+            db, ints = _integral(list(map(b.__getitem__, nz_b)))
+            b = dict(zip(nz_b, ints))
+            den = da * db
+
+            def norm(v):
+                return _demote(Fraction(v, den))
+
     sparse = len(nz_a) * len(nz_b) * _SPARSE_CELLS_PER_PAIR < size
     terms = [(t, t % w, b[t]) for t in nz_b]
     out = defaultdict(int) if sparse else [0] * size
@@ -213,13 +252,6 @@ def _product(x, y):
                 break
             if l <= ycap:
                 out[s + t] += ca * cb
-    # normalize the sums.  Over Q only Fraction sums can change, and only
-    # when a factor holds a Fraction: sums of int products are ints
-    norm = field.normalize
-    if not p:
-        payloads = chain(map(a.__getitem__, nz_a), map(b.__getitem__, nz_b))
-        if Fraction not in map(type, payloads):
-            norm = None
     if sparse:
         if norm:
             out = {k: norm(v) for k, v in out.items()}
@@ -227,11 +259,8 @@ def _product(x, y):
         for k, v in out.items():
             c[k] = v
         return x._raw(field, c, w, sorted(compress(out, out.values())))
-    # the entries that cannot change are skipped in C: over GF(p) the zero
-    # sums, over Q those that are not Fractions
     if norm:
-        todo = out if p else map(is_, map(type, out), repeat(Fraction))
-        for k in compress(range(size), todo):
+        for k in compress(range(size), out):
             out[k] = norm(out[k])
     return x._raw(field, out, w)
 

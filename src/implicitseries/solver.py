@@ -25,7 +25,14 @@ term is the extraction from (d - d * dP/dY) * (d * P)^m divided by
 d^(m+1) (theorem), or from (d * P)^m divided by m * d^m (char0).  So
 the products see no ``Fraction`` and skip the gcd per cell, leaving one
 rational operation per nonzero (n, m) term; for integral P, d = 1 and the
-sweep is the plain one.
+sweep is the plain one.  ``furstenberg`` divides integers the same way,
+by the substitution in ``furstenberg_solve``.  Every other product over
+Q (Newton's substitutions, the residual check, ``factor_out_root``)
+multiplies integers over one common denominator inside the series
+layer.  The exact quotient ``/`` stays on ``Fraction``s: Newton's
+divisor 1 - P_Y(X, f) has denominators that grow with the order, so
+scaling it to integers costs more than it saves; only furstenberg's
+divisor keeps the fixed denominators of P.
 
 ``solve_series`` is the single entry point that runs any of them on an
 ``ImplicitProblem`` and re-substitutes the result into its equation;
@@ -44,7 +51,6 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import lcm
 
 from .errors import (
     FieldMismatchError,
@@ -56,8 +62,8 @@ from .errors import (
     ZeroConstantTermError,
     ZeroLinearYTermError,
 )
-from .fields import FieldElement
-from .series import BiSeries, UniSeries, _top_column
+from .fields import FieldElement, _demote
+from .series import BiSeries, UniSeries, _integral, _top_column
 
 
 class SolveMethod(enum.Enum):
@@ -225,9 +231,8 @@ def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
     # over Q, scale P to the integral den * P (see above)
     den = 1
     if not field.characteristic:
-        den = lcm(*(c.denominator for _, _, c in terms))
-        if den > 1:
-            terms = [(i, j, c.numerator * (den // c.denominator)) for i, j, c in terms]
+        den, ints = _integral([c for _, _, c in terms])
+        terms = [(i, j, v) for (i, j, _), v in zip(terms, ints)]
     norm = field.normalize
     if char_zero_form:
         d = {(0, 0): 1}  # no derivative factor; weight 1/m instead
@@ -387,6 +392,15 @@ def furstenberg_solve(rp: RootProblem, n_max: int) -> UniSeries:
     a ring map, so numerator, unit and g all live on the box
     (n_max, n_max - 1) and g is one exact quotient there.  Requires q
     stored on a box of at least (n_max, n_max).
+
+    Over Q the quotient runs on integers.  With e the lcm of the
+    denominators of Q's terms on the box and c0 = e * q01, the terms of
+    e * Q are substituted X -> c0 X, Y -> c0 Y one by one, so the unit
+    U(c0 X, c0 Y) / c0 is integral with constant term 1 and the numerator
+    N(c0 X, c0 Y) is integral.  Their quotient is c0 * g(c0 X, c0 Y), and
+    [X^k] f is its entry at X^k Y^(k-1) over c0^(2k): one ``Fraction`` per
+    coefficient of the answer.  For e = 1 and c0 = +-1 (Catalan, and
+    every P - Y with integral P) the answer needs no division.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -396,18 +410,33 @@ def furstenberg_solve(rp: RootProblem, n_max: int) -> UniSeries:
     q = rp.q
     _require_box(q, n_max, n_max, "Q")
     # Q(XY, Y) / Y and dQ/dY(XY, Y) both move X^i Y^j to X^i Y^(i+j-1),
-    # where i + j >= 1 since Q(0, 0) = 0; the unit's constant term is the
-    # invertible q01, and from_terms drops what falls outside the box
-    terms = q.nonzero_terms()
+    # where i + j >= 1 since Q(0, 0) = 0; terms with i + j > n_max fall
+    # outside the box
+    terms = [t for t in q.nonzero_terms() if t[0] + t[1] <= n_max]
+    c0 = 1
+    if not field.characteristic:
+        # e * Q(c0 X, c0 Y) with c0 = e * q01, term by term (see above);
+        # X^i Y^j of Q moves to X^i Y^(i+j-1), a factor c0^(2i+j-1)
+        e, ints = _integral([c for _, _, c in terms])
+        c0 = e * q._c[1]  # q01 sits at flat index 1
+        terms = [(i, j, v * c0 ** (2 * i + j - 1)) for (i, j, _), v in zip(terms, ints)]
+    # the unit's constant term is c0 / c0 = 1 over Q, the invertible q01
+    # over GF(p); c // c0 is exact
     unit = BiSeries.from_terms(
-        field, [(i, i + j - 1, c) for i, j, c in terms], n_max, n_max - 1
+        field, [(i, i + j - 1, c // c0) for i, j, c in terms], n_max, n_max - 1
     )
     numer = BiSeries.from_terms(
         field, [(i, i + j - 1, j * c) for i, j, c in terms if j], n_max, n_max - 1
     )
     g = numer / unit
     # X^k Y^(k-1) sits at flat index k * n_max + k - 1
-    return UniSeries._raw(field, [0] + g._c[n_max :: n_max + 1])
+    diag = g._c[n_max :: n_max + 1]
+    if c0 * c0 != 1:
+        scale, c2 = 1, c0 * c0
+        for k, v in enumerate(diag):
+            scale *= c2
+            diag[k] = _demote(Fraction(v, scale))
+    return UniSeries._raw(field, [0] + diag)
 
 
 def _implicit_residual_zero(prob: ImplicitProblem, f: UniSeries) -> bool:

@@ -501,6 +501,27 @@ def test_installed_entry_point():
     assert result.stderr == ""
 
 
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the reader takes one line of about a megabyte and closes the pipe,
+    # as `| head -1` does; the writes after that must end the run quietly
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "implicitseries.cli",
+            "hasse", "--field", "fp:7", "--poly", "X + Y^2",
+            "--box", "300x300", "--m", "0",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.readline() == "0,0: 0\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=10) == 1
+    assert stderr == ""  # no traceback
+
+
 def _fresh_process(argv, env):
     result = subprocess.run(
         [sys.executable, "-m", "implicitseries.cli", *argv],

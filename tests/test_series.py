@@ -317,6 +317,67 @@ def test_sparse_products_match_the_textbook_convolution():
     assert product._c == [1, 0, 6] + [0] * 39 and product._nz == [0, 2]
 
 
+def _normalized_over_q(s):
+    """Whether every payload of ``s`` is an int or a non-integral Fraction."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in s._c
+    )
+
+
+def test_products_over_q_match_the_textbook_convolution():
+    # over Q a product runs on integers over one common denominator: factors
+    # with coprime denominators, all-Fraction factors, an int factor times a
+    # Fraction factor, negative values and zero, on the list path (dense
+    # factors, small box) and the dict path (few terms, large box; only it
+    # hands the product its support), for both series types
+    rng = make_rng("q-definition")
+
+    def rational(nx, ny, count, dens):
+        values = [Fraction(rng.randint(-20, 20), rng.choice(dens)) for _ in range(count)]
+        terms = [(rng.randint(0, nx), rng.randint(0, ny), v) for v in values]
+        return BiSeries.from_terms(Q, terms, nx, ny)
+
+    denominators = [((2, 3), (5, 7)), ((6, 4), (10, 14)), ((1,), (2, 3, 5, 7))]
+    for nx, ny, count, sparse in ((4, 5, 40, False), (40, 60, 6, True)):
+        for dens_a, dens_b in denominators:
+            for _ in range(4):
+                a, b = rational(nx, ny, count, dens_a), rational(nx, ny, count, dens_b)
+                zero = BiSeries.zero(Q, nx, ny)
+                for x, y in ((a, b), (b, a), (b, b), (a, zero), (zero, b)):
+                    product = x * y
+                    assert product == _textbook_product(x, y)
+                    assert _normalized_over_q(product)
+                    # a zero factor makes no pairs: its product takes the dict path
+                    on_dict = sparse or zero in (x, y)
+                    assert (product._nz is not None) == on_dict
+                    if on_dict:
+                        assert product._nz == _support_of(product)
+                    u, v = x.column(0), y.column(ny)
+                    textbook = _textbook_product(
+                        BiSeries.from_uniseries(u, 0), BiSeries.from_uniseries(v, 0)
+                    )
+                    assert (u * v)._c == textbook._c
+                    assert _normalized_over_q(u * v)
+    # Fraction sums that are integral are stored as ints, on both paths:
+    # (1/2 - 1/2 X)(1 - X) = 1/2 - X + 1/2 X^2 and
+    # (1/3 + 2/3 X)(3/5 + 6/5 X) = 1/5 + 4/5 X + 4/5 X^2, whose X
+    # coefficients are one sum of two Fractions each
+    for order in (3, 300):
+        pad = [0] * (order - 1)
+        half = UniSeries(Q, [Fraction(1, 2), Fraction(-1, 2)] + pad)
+        product = half * UniSeries(Q, [1, -1] + pad)
+        assert product._c == [Fraction(1, 2), -1, Fraction(1, 2)] + pad[1:]
+        assert type(product._c[1]) is int
+        thirds = UniSeries(Q, [Fraction(1, 3), Fraction(2, 3)] + pad)
+        fifths = UniSeries(Q, [Fraction(3, 5), Fraction(6, 5)] + pad)
+        assert (thirds * fifths)._c == [Fraction(1, 5), Fraction(4, 5), Fraction(4, 5)] + pad[1:]
+        twos = UniSeries(Q, [Fraction(1, 2), Fraction(3, 2)] + pad)
+        product = twos * UniSeries(Q, [Fraction(3, 2), Fraction(-1, 2)] + pad)
+        # 3/4 + (-1/4 + 9/4) X - 3/4 X^2
+        assert product._c == [Fraction(3, 4), 2, Fraction(-3, 4)] + pad[1:]
+        assert type(product._c[1]) is int
+
+
 def test_support_matches_the_entries():
     # _nz is None until asked for, then the sorted nonzero flat indices; the
     # builders that write into a fresh zero() list, the coefficientwise

@@ -30,6 +30,7 @@ from implicitseries import (
     solve_series,
     taylor_residual,
 )
+from implicitseries.series import _Series
 from implicitseries.solver import _extraction_vectors
 
 from conftest import (
@@ -484,20 +485,61 @@ def test_furstenberg_is_one_quotient(monkeypatch):
     assert furstenberg_solve(RootProblem(q), 6)._c == [0, 1, 1, 2, 5, 14, 42]
 
 
+def _coprime_implicit_poly(rng, x_order, y_order):
+    """A random implicit P over Q: a term in X and three random terms,
+    their denominators the coprime 2, 3, 5 and 7."""
+    value = lambda d: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), d)
+    terms = [(1, 0, value(2))]
+    for d in (3, 5, 7):
+        i, j = rng.randint(0, 4), rng.randint(0, 4)
+        if (i, j) in ((0, 0), (0, 1)):
+            i += 1
+        terms.append((i, j, value(d)))
+    return BiSeries.from_terms(Q, terms, x_order, y_order)
+
+
 def test_furstenberg_non_unit_linear_term_and_large_box():
     # Q = q01 * (Y - P) for a random implicit P, stored on a box larger
-    # than needed; its root is the fixed point of P
+    # than needed; its root is the fixed point of P.  Over Q, P has
+    # coprime denominators, so the quotient runs on e * Q(c0 X, c0 Y) with
+    # e > 1 and c0 = e * q01, which is not +-1
     rng = make_rng("furstenberg-non-unit")
-    for field, q01 in ((Q, 2), (PrimeField(7), 3)):
+    for field, q01 in ((Q, 2), (Q, Fraction(3, 5)), (Q, -7), (PrimeField(7), 3)):
         for n_max in (1, 2, 8):
             for _ in range(5):
                 big = n_max + rng.randint(1, 4)
-                p = random_implicit_poly(rng, field, big, big)
+                if field.characteristic:
+                    p = random_implicit_poly(rng, field, big, big)
+                else:
+                    p = _coprime_implicit_poly(rng, big, big)
                 y = BiSeries.monomial(field, 1, 0, 1, big, big)
                 scale = BiSeries.monomial(field, q01, 0, 0, big, big)
                 q = scale * (y - p)
                 f = furstenberg_solve(RootProblem(q), n_max)
                 assert f == linear_fixed_point(ImplicitProblem(p), n_max)
+
+
+def test_furstenberg_over_q_divides_integers(monkeypatch):
+    # over Q the one quotient sees integers only: e * Q(c0 X, c0 Y) with
+    # e = 210 and c0 = e * 3/5 = 126, while the answer is rational
+    operands = []
+    truediv = _Series.__truediv__
+
+    def recording(self, other):
+        operands.extend((self, other))
+        return truediv(self, other)
+
+    monkeypatch.setattr(_Series, "__truediv__", recording)
+    terms = [
+        (0, 1, Fraction(3, 5)), (1, 0, Fraction(-1, 2)),
+        (0, 2, Fraction(1, 3)), (1, 1, Fraction(2, 7)),
+    ]
+    q = BiSeries.from_terms(Q, terms, 10, 10)
+    f = furstenberg_solve(RootProblem(q), 10)
+    assert len(operands) == 2
+    assert all(type(c) is int for s in operands for c in s._c)
+    assert f._c[:2] == [0, Fraction(5, 6)]
+    assert q.subst_y(f).is_zero()
 
 
 # ---------------------------------------------------------------- solve_series
