@@ -39,23 +39,16 @@ from .errors import (
     ZeroConstantTermError,
     ZeroLinearYTermError,
 )
-from .expressions import (
-    format_biseries,
-    lower_expression,
-    lower_univariate,
-    parse_expression,
-)
+from .expressions import format_biseries, lower_expression, parse_expression
 from .fields import Field, FieldElement, PrimeField, RationalField
 from .series import BiSeries, UniSeries
 from .solver import (
     ImplicitProblem,
-    LagrangeVariant,
     RootProblem,
     SolveMethod,
     SolveReport,
     factor_out_root,
     furstenberg_solve,
-    lagrange_coefficient,
     solve_fixed_point,
     solve_series,
     taylor_residual,
@@ -77,7 +70,6 @@ __all__ = [
     "ImplicitSeriesError",
     "IndexOutOfTruncationError",
     "InsufficientTruncationError",
-    "LagrangeVariant",
     "LiteralNotInFieldError",
     "NonzeroConstantTermError",
     "NonzeroLinearYTermError",
@@ -98,9 +90,7 @@ __all__ = [
     "factor_out_root",
     "format_biseries",
     "furstenberg_solve",
-    "lagrange_coefficient",
     "lower_expression",
-    "lower_univariate",
     "parse_expression",
     "solve_fixed_point",
     "solve_series",

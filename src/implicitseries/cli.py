@@ -4,7 +4,9 @@ Six subcommands operate on polynomial expressions in X and Y (see
 ``expressions`` for the grammar):
 
 * ``solve``: coefficients of the f with f = P(X, f(X)).
-* ``lagrange``: coefficients of the f with f = X * phi(f).
+* ``lagrange``: coefficients of the f with f = X * phi(f), that is
+  ``solve`` on P = X * phi(Y) by ``theorem`` (``--variant general``) or
+  ``char0`` (``--variant char0``), the two forms of Lagrange inversion.
 * ``hasse``: a Hasse derivative of P, as a coefficient grid.
 * ``factor``: split Q = (Y - f) * R at a simple root f.
 * ``verify``: run every applicable solve method and cross-check.
@@ -25,23 +27,22 @@ import json
 import os
 import sys
 
-from .errors import ExpressionSyntaxError, ImplicitSeriesError
-from .expressions import (
-    lower_expression,
-    lower_univariate,
-    parse_expression,
+from .errors import (
+    ExpressionSyntaxError,
+    ImplicitSeriesError,
+    PositiveCharacteristicError,
+    UnexpectedVariableError,
+    ZeroConstantTermError,
 )
+from .expressions import lower_expression, parse_expression
 from .fields import Field, PrimeField, RationalField
 from .series import BiSeries, UniSeries
 from .solver import (
     ImplicitProblem,
-    LagrangeVariant,
     RootProblem,
     SolveMethod,
-    _implicit_residual_zero,
     factor_out_root,
     furstenberg_solve,
-    lagrange_coefficient,
     solve_series,
 )
 
@@ -173,20 +174,32 @@ def cmd_solve(args) -> int:
 
 
 def cmd_lagrange(args) -> int:
+    # f = X * phi(f) is f = P(X, f) for P = X * phi(Y), on which theorem's
+    # sum is Lagrange inversion and char0's its 1/n-weighted form
     field = make_field(args.field)
     code = parse_expression(args.phi, field)
+    if ("var", "X") in code:
+        raise UnexpectedVariableError(
+            "variable X is not allowed in a one-variable expression in Y"
+        )
     n = args.order
-    phi = lower_univariate(code, field, max(n - 1, 0))
-    variant = LagrangeVariant(args.variant)
-    values = [lagrange_coefficient(phi, k, variant) for k in range(1, n + 1)]
-    f = UniSeries(field, [0] + values)
-    # f solves f = P(X, f) for P = X * phi(Y); re-substitute to check
-    p = lower_expression(code + [("var", "X"), ("*", None)], field, n, phi.order)
-    residual_zero = _implicit_residual_zero(ImplicitProblem(p), f)
-    coeffs = _series_strings(f)
+    x_phi = code + [("var", "X"), ("*", None)]
+    p = lower_expression(x_phi, field, n, max(n - 1, 0))
+    method = SolveMethod.THEOREM  # at order 0 the answer is 0 in any field
+    if n:
+        if not p.coeff(1, 0):
+            raise ZeroConstantTermError("phi(0) must be nonzero")
+        if args.variant == "char0":
+            if field.characteristic:
+                raise PositiveCharacteristicError(
+                    "the 1/n-weighted form needs characteristic zero"
+                )
+            method = SolveMethod.CHAR0
+    report = solve_series(ImplicitProblem(p), n, method)
+    coeffs = _series_strings(report.solution)
     return _emit(
-        args, f"lagrange-{variant.value}", field, n, _coeff_lines(coeffs),
-        coeffs=coeffs, residual_zero=residual_zero,
+        args, f"lagrange-{args.variant}", field, n, _coeff_lines(coeffs),
+        coeffs=coeffs, residual_zero=report.residual_zero,
     )
 
 
@@ -290,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lag.add_argument("--order", required=True, type=_nonnegative)
     p_lag.add_argument(
         "--variant",
-        choices=[v.value for v in LagrangeVariant],
-        default=LagrangeVariant.GENERAL.value,
+        choices=("general", "char0"),
+        default="general",
     )
     p_lag.set_defaults(func=cmd_lagrange)
 

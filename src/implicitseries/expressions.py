@@ -36,10 +36,9 @@ from .errors import (
     ExponentTooLargeError,
     ExpressionSyntaxError,
     LiteralNotInFieldError,
-    UnexpectedVariableError,
 )
 from .fields import Field
-from .series import BiSeries, UniSeries, _check_cells
+from .series import BiSeries, _check_cells
 
 _SYMBOLS = set("+-*/^()")
 MAX_PAREN_DEPTH = 100
@@ -99,10 +98,9 @@ def parse_expression(text: str, field: Field) -> list:
     operands: ``("const", payload)`` with the literal already converted
     to a ``field`` payload, ``("var", "X" | "Y")``, ``("neg", None)``,
     ``("+" | "-" | "*", None)`` and ``("^", m)`` with the exponent tower
-    already folded.  Lower it with :func:`lower_expression` or
-    :func:`lower_univariate`.  Syntax errors take precedence over
-    literals outside the field; of several such literals, the first in
-    the text is reported.
+    already folded.  Lower it with :func:`lower_expression`.  Syntax
+    errors take precedence over literals outside the field; of several
+    such literals, the first in the text is reported.
     """
     tokens = _tokenize(text)
     code = []
@@ -268,21 +266,6 @@ def lower_expression(code, field: Field, x_order: int, y_order: int) -> BiSeries
             raise ValueError(f"not a postfix operation: {op!r}")
     terms = [(i, j, c) for (i, j), c in values.pop().items()]
     return BiSeries.from_terms(field, terms, x_order, y_order)
-
-
-def lower_univariate(code, field: Field, order: int) -> UniSeries:
-    """Run postfix ``code`` in Y alone to a one-variable series.
-
-    The X variable is rejected with :class:`UnexpectedVariableError`;
-    the result is the series in the single remaining variable, truncated
-    at ``order``.
-    """
-    if ("var", "X") in code:
-        raise UnexpectedVariableError(
-            "variable X is not allowed in a one-variable expression in Y"
-        )
-    grid = lower_expression(code, field, 0, order)
-    return UniSeries(field, [grid.coeff(0, j) for j in range(order + 1)])
 
 
 def format_biseries(p: BiSeries) -> str:

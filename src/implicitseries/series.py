@@ -451,15 +451,6 @@ class UniSeries(_Series):
         """Truncated m-th power, by binary exponentiation."""
         return _binary_pow(self, m, UniSeries._raw(self.field, [1] + [0] * self.order))
 
-    def derivative(self) -> "UniSeries":
-        """Ordinary derivative; the order drops by one (floor at zero)."""
-        if self.order == 0:
-            return UniSeries.zero(self.field, 0)
-        norm = self.field.normalize
-        return UniSeries._raw(
-            self.field, [norm((k + 1) * c) for k, c in enumerate(self._c[1:])]
-        )
-
     def __repr__(self):
         return f"UniSeries({self.field.tag}, {self._c!r})"
 

@@ -11,13 +11,17 @@ coefficients plus the surrounding machinery:
   methods are tested against, lives in the tests.
 * ``theorem``: [X^n] f as a finite sum over m of the coefficient of
   X^n Y^(m-1) in (1 - dP/dY) * P^m.  Works over any field; the sum
-  stops at m = 2n - 1.
+  stops at m = 2n - 1, or at m = n when every term of P carries X.
 * ``char0``: the characteristic-zero variant that weights the m-th
   term by 1/m and drops the derivative factor.
 * ``furstenberg`` (``furstenberg_solve``): reads the root of
   Q(X, Y) = 0 off the main diagonal of a rational bivariate series,
   after the substitution X -> X*Y; the diagonal entries come from one
   exact quotient (``BiSeries`` ``/``) on the box (n, n - 1).
+
+On P = X * phi(Y) the two sums are Lagrange inversion: theorem's is
+[Y^(n-1)] phi^n - [Y^(n-2)] phi' * phi^(n-1), in any characteristic, and
+char0's is (1/n) [Y^(n-1)] phi^n.
 
 Over Q both extraction sweeps run in integers: with d the lcm of the
 denominators of P on the working box, d * P is integral, and the m-th
@@ -42,7 +46,7 @@ divisor keeps the fixed denominators of P.
 ``taylor_residual`` checks the finite Taylor-style expansion of P
 around a substituted series (with Hasse derivatives supplying the
 divided powers), and ``factor_out_root`` splits off an exact root by
-synthetic division.  ``lagrange_coefficient`` inverts f = X * phi(f).
+synthetic division.
 """
 
 from __future__ import annotations
@@ -59,10 +63,9 @@ from .errors import (
     NonzeroLinearYTermError,
     NotARootError,
     PositiveCharacteristicError,
-    ZeroConstantTermError,
     ZeroLinearYTermError,
 )
-from .fields import FieldElement, _demote
+from .fields import _demote
 from .series import BiSeries, UniSeries, _integral, _top_column
 
 
@@ -73,11 +76,6 @@ class SolveMethod(enum.Enum):
     CHAR0 = "char0"
     FIXED_POINT = "fixpoint"
     FURSTENBERG = "furstenberg"
-
-
-class LagrangeVariant(enum.Enum):
-    GENERAL = "general"
-    CHAR0 = "char0"
 
 
 class ImplicitProblem:
@@ -206,7 +204,10 @@ def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
     extracts to zero; they are kept separate so callers can verify
     exactly that.  P^m is maintained as a running product and the sweep
     stops early once the power vanishes on the working box (all later
-    terms are then identically zero).
+    terms are then identically zero).  When every term of P carries X,
+    P^m has no term below X^m, so the sweep stops at m = n_max + extra_m
+    and its box is (n_max, n_max - 1 + extra_m), not
+    (n_max, 2 n_max - 2 + extra_m).
 
     Over Q, with ``den`` the lcm of the denominators on the working box,
     the sweep multiplies the integral ``den * P`` instead, with
@@ -228,6 +229,10 @@ def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
     # columns up to m_top - 1 feed the extractions; the derivative
     # factor additionally reads P's column m_top
     terms = [t for t in p.nonzero_terms() if t[0] <= n_max and t[1] <= m_top]
+    if all(i for i, _, _ in terms):
+        # every term carries X, so P^m vanishes on the box for m > n_max
+        m_top = n_max + extra_m
+        terms = [t for t in terms if t[1] <= m_top]
     # over Q, scale P to the integral den * P (see above)
     den = 1
     if not field.characteristic:
@@ -287,41 +292,6 @@ def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
     sums = [norm(v) for v in sums]
     tails = [norm(v) for v in tails]
     return sums, tails, m_stop
-
-
-def lagrange_coefficient(
-    phi: UniSeries, n: int, variant: LagrangeVariant = LagrangeVariant.GENERAL
-) -> FieldElement:
-    """[X^n] f for the inversion problem f = X * phi(f), phi(0) != 0.
-
-    The general form extracts [Y^(n-1)] (phi^n - Y * phi' * phi^(n-1))
-    and holds in any characteristic; the char-0 form is the classical
-    (1/n) [Y^(n-1)] phi^n.
-    """
-    variant = LagrangeVariant(variant)
-    if n < 1:
-        raise ValueError("coefficient index must be >= 1")
-    field = phi.field
-    if not phi._c[0]:
-        raise ZeroConstantTermError("phi(0) must be nonzero")
-    if phi.order < n - 1:
-        raise InsufficientTruncationError(
-            f"phi is truncated at order {phi.order}, need at least {n - 1}"
-        )
-    w = phi.resized(max(n - 1, 0))
-    if variant is LagrangeVariant.CHAR0:
-        if field.characteristic:
-            raise PositiveCharacteristicError(
-                "the 1/n-weighted form needs characteristic zero"
-            )
-        val = w.pow(n)._c[n - 1]
-        return FieldElement(field, field.divide(val, n))
-    pw = w.pow(n - 1)
-    val = (pw * w)._c[n - 1]
-    if n >= 2:
-        correction = (w.derivative().resized(n - 1) * pw)._c[n - 2]
-        val = field.normalize(val - correction)
-    return FieldElement(field, val)
 
 
 def taylor_residual(p: BiSeries, f: UniSeries) -> BiSeries:

@@ -108,3 +108,26 @@ def linear_fixed_point(prob, n_max):
             break
         f = nxt
     return f
+
+
+def lagrange_oracle(phi, n, variant="general"):
+    """[X^n] f for f = X * phi(f), phi(0) != 0, by the textbook formula.
+
+    The general form is [Y^(n-1)] phi^n - [Y^(n-2)] phi' * phi^(n-1), in
+    every characteristic; the "char0" form is (1/n) [Y^(n-1)] phi^n.  It is
+    built from ``UniSeries`` products and coefficient reads alone, apart
+    from the solvers, whose ``theorem`` and ``char0`` sums on
+    P = X * phi(Y) it checks.  Takes n >= 1 and returns the raw payload.
+    """
+    field = phi.field
+    w = phi.resized(n - 1)
+    pw = UniSeries(field, [1] + [0] * (n - 1))  # phi^(n-1), by n - 1 products
+    for _ in range(n - 1):
+        pw = pw * w
+    top = (pw * w)._c[n - 1]
+    if variant == "char0":
+        return field.divide(top, n)
+    if n == 1:
+        return top
+    dphi = UniSeries(field, [k * c for k, c in enumerate(w._c)][1:])
+    return field.normalize(top - (dphi * pw.resized(n - 2))._c[n - 2])

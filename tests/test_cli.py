@@ -3,6 +3,7 @@
 import dataclasses
 import decimal
 import json
+import math
 import os
 import random
 import resource
@@ -12,8 +13,16 @@ from fractions import Fraction
 
 import pytest
 
-from implicitseries import UniSeries, cli
+from implicitseries import BiSeries, UniSeries, cli, format_biseries, series
 from implicitseries.cli import main
+
+from conftest import (
+    FIELDS,
+    lagrange_oracle,
+    make_rng,
+    random_nonzero_value,
+    random_value,
+)
 
 
 def run_cli(capsys, *argv):
@@ -433,6 +442,97 @@ def test_factor_without_linear_y_term_exits_1(capsys):
     )
     assert code == 1
     assert err.startswith("error: ")
+
+
+# ----------------------------------------------------------------- lagrange
+
+def test_lagrange_matches_the_textbook_formula(capsys):
+    # f = X * phi(f) through cli lagrange, at every order from 1 to 8, is
+    # the textbook formula over every field (the 1/n form over Q only)
+    rng = make_rng("lagrange-vs-oracle")
+    for field in FIELDS:
+        phis = [[1, 1], [1, 2, 1]]  # 1 + Y and (1 + Y)^2
+        for _ in range(4):
+            coeffs = [random_value(rng, field) for _ in range(8)]
+            phis.append([random_nonzero_value(rng, field)] + coeffs[1:])
+        variants = ["general"] if field.characteristic else ["general", "char0"]
+        for coeffs in phis:
+            phi = UniSeries(field, coeffs)
+            terms = [(0, j, c) for j, c in enumerate(coeffs)]
+            text = format_biseries(BiSeries.from_terms(field, terms, 0, 7))
+            for variant in variants:
+                want = ["0: 0"]
+                for n in range(1, 9):
+                    want.append(f"{n}: {lagrange_oracle(phi, n, variant)}")
+                    code, out, err = run_cli(
+                        capsys, "lagrange", "--field", field.tag, "--phi", text,
+                        "--order", str(n), "--variant", variant,
+                    )
+                    assert (code, err) == (0, ""), (field.tag, text, variant, n)
+                    assert out.splitlines() == want, (field.tag, text, variant, n)
+    # the oracle itself: ballot numbers binom(2n, n - 1) / n for (1 + Y)^2
+    phi = UniSeries(FIELDS[0], [1, 2, 1])
+    for n in range(1, 9):
+        for variant in ("general", "char0"):
+            assert lagrange_oracle(phi, n, variant) == math.comb(2 * n, n - 1) // n
+
+
+def test_lagrange_errors(capsys):
+    x_in_phi = "error: variable X is not allowed in a one-variable expression in Y\n"
+    phi_0 = "error: phi(0) must be nonzero\n"
+    char0_in_p = "error: the 1/n-weighted form needs characteristic zero\n"
+    cases = [
+        # X is refused first, at every order and for every variant
+        ("q", "1+X", 3, "general", x_in_phi),
+        ("fp:3", "X*Y", 0, "char0", x_in_phi),
+        # then, from order 1, phi(0) = 0, also for char0 over GF(p)
+        ("q", "Y+Y^2", 1, "general", phi_0),
+        ("fp:3", "0", 4, "char0", phi_0),
+        # then char0 in characteristic p
+        ("fp:3", "1+Y", 3, "char0", char0_in_p),
+        ("fp:2", "1", 1, "char0", char0_in_p),
+    ]
+    for field, phi, order, variant, err in cases:
+        got = run_cli(
+            capsys, "lagrange", "--field", field, "--phi", phi,
+            "--order", str(order), "--variant", variant,
+        )
+        assert got == (1, "", err), (field, phi, order, variant)
+    # at order 0 no coefficient is computed, so neither phi(0) = 0 nor
+    # char0 in characteristic p is an error
+    for field in FIELDS:
+        for phi in ("1+Y", "Y"):
+            for variant in ("general", "char0"):
+                got = run_cli(
+                    capsys, "lagrange", "--field", field.tag, "--phi", phi,
+                    "--order", "0", "--variant", variant,
+                )
+                assert got == (0, "0: 0\n", ""), (field.tag, phi, variant)
+
+
+def test_lagrange_sweeps_the_box_n_by_n_minus_1(capsys, monkeypatch):
+    # every term of P = X * phi(Y) carries X, so the sweep stops at m = n on
+    # the box (7, 6), 56 cells; the bound m = 2n - 1 would need (7, 12)
+    monkeypatch.setattr(series, "MAX_BOX_CELLS", 64)
+    for variant in ("general", "char0"):
+        code, out, err = run_cli(
+            capsys, "lagrange", "--field", "q", "--phi", "(1+Y)^2", "--order", "7",
+            "--variant", variant,
+        )
+        assert (code, err) == (0, "")
+        assert out == "0: 0\n1: 1\n2: 2\n3: 5\n4: 14\n5: 42\n6: 132\n7: 429\n"
+
+
+def test_lagrange_beyond_max_box_cells_exits_1_at_once():
+    # the box (3000, 2999) is refused before any coefficient is computed
+    result = _capped_process(
+        ["lagrange", "--field", "q", "--phi", "1+Y", "--order", "3000"], 600
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == (
+        "error: a truncation box of (3000, 2999) holds 9003000 cells, "
+        "more than 4194304\n"
+    )
 
 
 # ------------------------------------------------------------- deep input

@@ -18,11 +18,9 @@ from implicitseries import (
     LiteralNotInFieldError,
     PrimeField,
     RationalField,
-    UnexpectedVariableError,
     UniSeries,
     format_biseries,
     lower_expression,
-    lower_univariate,
     parse_expression,
 )
 from implicitseries.expressions import MAX_CONSTANT_POWER_BITS
@@ -141,7 +139,7 @@ def test_boxes_beyond_max_box_cells_refused_before_lowering():
         with pytest.raises(BoxTooLargeError):
             lower_expression(bogus, Q, nx, ny)
     with pytest.raises(BoxTooLargeError):
-        lower_univariate(parse_expression("1 + Y", Q), Q, MAX_BOX_CELLS)
+        lower_expression(parse_expression("1 + Y", Q), Q, 0, MAX_BOX_CELLS)
     with pytest.raises(ValueError, match="not a postfix operation"):
         lower_expression(bogus, Q, 2047, 2047)
     assert issubclass(BoxTooLargeError, ImplicitSeriesError)
@@ -234,7 +232,7 @@ def test_each_literal_converted_once(monkeypatch):
         calls.clear()
         code = parse_expression("1/2*Y + 3 - 4*Y^2 + (5*Y)^3 - 6", field)
         lower_expression(code, field, 3, 3)
-        lower_univariate(code, field, 3)
+        lower_expression(code, field, 0, 3)
         assert calls == [(1, 2), (3, 1), (4, 1), (5, 1), (6, 1)], field
 
 
@@ -261,18 +259,6 @@ def test_every_short_input_keeps_its_outcome():
                     outcome = f"{type(exc).__name__}: {exc}"
                 digest.update(f"{field.tag}\0{text}\0{outcome}\n".encode())
     assert digest.hexdigest() == SHORT_INPUTS_DIGEST
-
-
-# ----------------------------------------------------------------- univariate
-
-def test_lower_univariate():
-    phi = lower_univariate(parse_expression("(1+Y)^2", Q), Q, 4)
-    assert phi == UniSeries(Q, [1, 2, 1, 0, 0])
-    assert lower_univariate(parse_expression("3", F7), F7, 2) == UniSeries(
-        F7, [3, 0, 0]
-    )
-    with pytest.raises(UnexpectedVariableError):
-        lower_univariate(parse_expression("X + Y", Q), Q, 4)
 
 
 # -------------------------------------------------------------- lowering oracle
@@ -375,12 +361,11 @@ def test_lowering_never_multiplies_box_series(monkeypatch):
         for i in range(7) for j in range(7 - i)
     )
     dense_y = " + ".join(f"{rng.randrange(1, 10007)}*Y^{j}" for j in range(7))
-    cases = [(dense, 40, 79), ("(1+X+Y)^5", 8, 8)]
-    uni_cases = [(dense_y, 79), ("(1+Y+Y^2)^5", 8)]
+    cases = [
+        (dense, 40, 79), ("(1+X+Y)^5", 8, 8), (dense_y, 0, 79), ("(1+Y+Y^2)^5", 0, 8)
+    ]
     expected = [box_lower(parse_expression(t, field), field, nx, ny)
                 for t, nx, ny in cases]
-    expected_uni = [box_lower(parse_expression(t, field), field, 0, n)
-                    for t, n in uni_cases]
 
     def refuse(*args):
         raise AssertionError("lowering multiplied box-sized series")
@@ -390,9 +375,6 @@ def test_lowering_never_multiplies_box_series(monkeypatch):
         monkeypatch.setattr(cls, "pow", refuse)
     for (text, nx, ny), want in zip(cases, expected):
         assert lower_expression(parse_expression(text, field), field, nx, ny) == want
-    for (text, n), want in zip(uni_cases, expected_uni):
-        got = lower_univariate(parse_expression(text, field), field, n)
-        assert got == UniSeries(field, [want.coeff(0, j) for j in range(n + 1)])
 
 
 # ------------------------------------------------------------------ deep input

@@ -80,24 +80,6 @@ def test_uniseries_ring_axioms_randomized():
             assert a.pow(3) == a * a * a
 
 
-def test_uniseries_derivative():
-    f = UniSeries(Q, [7, 1, 3, 5])
-    assert f.derivative()._c == [1, 6, 15]
-    assert UniSeries(Q, [4]).derivative().is_zero()
-    # product rule on truncations
-    rng = make_rng("uni-derivative")
-    for field in FIELDS:
-        for _ in range(50):
-            order = rng.randint(1, 6)
-            a = random_uniseries(rng, field, order)
-            b = random_uniseries(rng, field, order)
-            lhs = (a * b).derivative()
-            rhs = a.derivative() * b.resized(order - 1) + a.resized(
-                order - 1
-            ) * b.derivative()
-            assert lhs == rhs
-
-
 def test_uniseries_repr_and_hash():
     a = UniSeries(Q, [1, Fraction(1, 2)])
     assert repr(a) == "UniSeries(q, [1, Fraction(1, 2)])"

@@ -11,7 +11,6 @@ from implicitseries import (
     FieldMismatchError,
     ImplicitProblem,
     InsufficientTruncationError,
-    LagrangeVariant,
     NonzeroConstantTermError,
     NonzeroLinearYTermError,
     NotARootError,
@@ -21,11 +20,9 @@ from implicitseries import (
     RootProblem,
     SolveMethod,
     UniSeries,
-    ZeroConstantTermError,
     ZeroLinearYTermError,
     factor_out_root,
     furstenberg_solve,
-    lagrange_coefficient,
     solve_fixed_point,
     solve_series,
     taylor_residual,
@@ -293,60 +290,6 @@ def test_per_m_term_groups_differ_but_totals_agree():
     assert weighted == [0, 0, 0, 0, 0, 0, 5]
     assert sum(general) == sum(weighted) == 5
     assert solve_series(catalan_problem(Q, n), n, "theorem").solution.coeff(n) == 5
-
-
-# ------------------------------------------------------------------ lagrange
-
-def test_lagrange_examples():
-    phi_sq = UniSeries(Q, [1, 2, 1])  # (1+Y)^2
-    assert lagrange_coefficient(phi_sq.resized(2), 3, LagrangeVariant.CHAR0).value == 5
-    assert (
-        lagrange_coefficient(phi_sq.resized(1), 2, LagrangeVariant.GENERAL).value == 2
-    )
-    geom = UniSeries(Q, [1, 1])  # phi = 1 + Y, f = X/(1-X)
-    for n in range(1, 8):
-        assert (
-            lagrange_coefficient(geom.resized(max(n - 1, 0)), n).value == 1
-        )
-
-
-def test_lagrange_binomial_closed_form():
-    # f = X(1+f)^2 has [X^n]f = binom(2n, n-1)/n (ballot numbers)
-    for n in range(1, 9):
-        phi = UniSeries(Q, [1, 2, 1]).resized(max(n - 1, 0))
-        expected = math.comb(2 * n, n - 1) // n
-        assert lagrange_coefficient(phi, n, LagrangeVariant.GENERAL).value == expected
-        assert lagrange_coefficient(phi, n, LagrangeVariant.CHAR0).value == expected
-
-
-def test_lagrange_guards():
-    phi = UniSeries(Q, [1, 1, 1])
-    with pytest.raises(ValueError):
-        lagrange_coefficient(phi, 0)
-    with pytest.raises(ZeroConstantTermError):
-        lagrange_coefficient(UniSeries(Q, [0, 1, 1]), 2)
-    with pytest.raises(InsufficientTruncationError):
-        lagrange_coefficient(phi, 5)
-    with pytest.raises(PositiveCharacteristicError):
-        lagrange_coefficient(UniSeries(F2, [1, 1]), 2, LagrangeVariant.CHAR0)
-    # general variant is fine in characteristic p
-    assert lagrange_coefficient(UniSeries(F2, [1, 1]), 2).value == 1
-
-
-def test_lagrange_agrees_with_extraction():
-    rng = make_rng("lagrange-vs-extraction")
-    for field in FIELDS:
-        for _ in range(10):
-            phi = random_uniseries(rng, field, 7)
-            if not phi._c[0]:
-                phi = phi + UniSeries(field, [1] + [0] * 7)
-            p = BiSeries.from_terms(
-                field, [(1, j, c) for j, c in enumerate(phi._c)], 8, 15
-            )
-            f = solve_series(ImplicitProblem(p), 8, SolveMethod.THEOREM).solution
-            for n in range(1, 9):
-                direct = lagrange_coefficient(phi.resized(max(n - 1, 0)), n)
-                assert direct == f.coeff(n)
 
 
 # ------------------------------------------------------------------- taylor
