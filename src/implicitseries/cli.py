@@ -55,13 +55,18 @@ def make_field(spec: str) -> Field:
     if spec == "q":
         return RationalField()
     if spec.startswith("fp:"):
-        return PrimeField(int(spec[3:]))
+        try:
+            modulus = int(spec[3:])
+        except ValueError:
+            pass  # not a number: the unknown-field message below
+        else:
+            return PrimeField(modulus)
     raise ValueError(f"unknown field {spec!r}: use q or fp:<prime>")
 
 
 def _box_argument(text: str):
     parts = text.split("x") if "x" in text else text.split(",")
-    if len(parts) != 2 or not all(p.strip().isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.strip().isdecimal() for p in parts):
         raise argparse.ArgumentTypeError(
             f"expected a box like 4x3 (x-order by y-order), got {text!r}"
         )

@@ -63,9 +63,9 @@ def _tokenize(text: str) -> list:
             continue
         offset += len(text[seen:i].encode("utf-8"))
         seen = i
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("int", int(text[i:j]), offset))
             i = j

@@ -54,8 +54,9 @@ class Field:
     Subclasses provide the raw-payload protocol used throughout the
     series layer: ``normalize`` (canonicalize after accumulation),
     ``coerce`` (accept ints, fractions and same-field elements),
-    ``invert``, ``divide`` and ``from_rational``.  The raw zero and one
-    are the plain ints 0 and 1 for both fields.
+    ``invert`` and ``from_rational``; a division multiplies by the
+    inverse.  The raw zero and one are the plain ints 0 and 1 for both
+    fields.
     """
 
     __slots__ = ()
@@ -74,9 +75,6 @@ class Field:
         raise NotImplementedError
 
     def invert(self, x):
-        raise NotImplementedError
-
-    def divide(self, a, b):
         raise NotImplementedError
 
     def from_rational(self, num: int, den: int):
@@ -146,11 +144,6 @@ class RationalField(Field):
             raise ZeroDivisionError("inverse of zero")
         return _demote(1 / Fraction(x))
 
-    def divide(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return _demote(Fraction(a) / b)
-
     def from_rational(self, num: int, den: int):
         if den == 0:
             raise LiteralNotInFieldError("literal with denominator zero")
@@ -213,9 +206,6 @@ class PrimeField(Field):
             raise ZeroDivisionError(f"inverse of zero in GF({self.modulus})")
         return pow(x, -1, self.modulus)
 
-    def divide(self, a, b):
-        return a * self.invert(b) % self.modulus
-
     def from_rational(self, num: int, den: int):
         if den % self.modulus == 0:
             raise LiteralNotInFieldError(
@@ -270,20 +260,20 @@ class FieldElement:
 
     __rmul__ = __mul__
 
+    def _divide(self, a, b):
+        return a * self.field.invert(b)
+
     def __truediv__(self, other):
-        return self._binary(other, self.field.divide)
+        return self._binary(other, self._divide)
 
     def __rtruediv__(self, other):
-        return self._binary(other, self.field.divide, reflected=True)
+        return self._binary(other, self._divide, reflected=True)
 
     def __neg__(self):
         return FieldElement(self.field, self.field.normalize(-self.value))
 
     def __pos__(self):
         return self
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.invert(self.value))
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):

@@ -196,18 +196,17 @@ def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
     """Shared sweep behind the extraction formulas.
 
     Each m adds the coefficients of X^n Y^(m-1) in D * P^m, for
-    D = 1 - dP/dY (theorem) or D = 1 with weight 1/m (char0).  Returns
-    ``(sums, tails, m_stop)``: ``sums[n]`` collects the terms with
-    m <= 2n - 1 and ``tails[n]`` the terms with 2n - 1 < m <=
-    2n - 1 + extra_m, both as raw payloads; ``m_stop`` is the largest m
-    actually accumulated.  The truncation bound says every tail term
-    extracts to zero; they are kept separate so callers can verify
-    exactly that.  P^m is maintained as a running product and the sweep
-    stops early once the power vanishes on the working box (all later
-    terms are then identically zero).  When every term of P carries X,
-    P^m has no term below X^m, so the sweep stops at m = n_max + extra_m
-    and its box is (n_max, n_max - 1 + extra_m), not
-    (n_max, 2 n_max - 2 + extra_m).
+    D = 1 - dP/dY (theorem) or D = 1 with weight 1/m (char0), into one
+    sum per n.  Returns ``(sums, m_stop)``: ``sums[n]`` as a raw payload,
+    and ``m_stop``, the largest m actually accumulated.  Every factor of
+    P^m brings an X or a Y^2, so the terms with m > 2n - 1 vanish and
+    the sweep runs to m_top = 2 n_max - 1; the tests check that bound by
+    widening m_top with ``extra_m`` and getting the same sums.  P^m is
+    maintained as a running product and the sweep stops early once the
+    power vanishes on the working box (all later terms are then
+    identically zero).  When every term of P carries X, P^m has no term
+    below X^m, so the sweep stops at m = n_max + extra_m and its box is
+    (n_max, n_max - 1 + extra_m), not (n_max, 2 n_max - 2 + extra_m).
 
     Over Q, with ``den`` the lcm of the denominators on the working box,
     the sweep multiplies the integral ``den * P`` instead, with
@@ -220,9 +219,8 @@ def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
     field = prob.field
     p = prob.p
     sums = [0] * (n_max + 1)
-    tails = [0] * (n_max + 1)
     if n_max == 0:
-        return sums, tails, 0
+        return sums, 0
     if not prob.is_polynomial:
         _require_box(p, n_max, 2 * n_max - 1)
     m_top = 2 * n_max - 1 + extra_m
@@ -240,18 +238,17 @@ def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
         terms = [(i, j, v) for (i, j, _), v in zip(terms, ints)]
     norm = field.normalize
     if char_zero_form:
-        d = {(0, 0): 1}  # no derivative factor; weight 1/m instead
+        d = [(0, 0, 1)]  # no derivative factor; weight 1/m instead
     else:
-        # den - (den * P)_Y, where X^i Y^j of den * P gives -j X^i Y^(j-1)
-        d = {(0, 0): den}
-        for i, j, c in terms:
-            if j:
-                d[i, j - 1] = d.get((i, j - 1), 0) - j * c
+        # den - (den * P)_Y, where X^i Y^j of den * P gives -j X^i Y^(j-1);
+        # no two terms share a cell, as P has no lone Y term
+        d = [(0, 0, den)] + [
+            (i, j - 1, v) for i, j, c in terms if j and (v := norm(-j * c))
+        ]
     # D by powers of Y: b -> [(a, c), ...] for its terms c X^a Y^b, a rising
     d_cols = {}
-    for (a, b), c in sorted(d.items()):
-        if c := norm(c):
-            d_cols.setdefault(b, []).append((a, c))
+    for a, b, c in sorted(d):
+        d_cols.setdefault(b, []).append((a, c))
     factor = BiSeries.from_terms(
         field, [t for t in terms if t[1] < m_top], n_max, m_top - 1
     )
@@ -262,8 +259,6 @@ def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
     m_stop = m_top
     for m in range(1, m_top + 1):
         col = m - 1
-        n_lo_sum = (m + 2) // 2  # smallest n with m <= 2n - 1
-        n_lo = max(1, (m + 2 - extra_m) // 2)
         if char_zero_form:
             w = Fraction(1, m * den**m)
         else:
@@ -272,26 +267,21 @@ def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
         acc = [0] * (n_max + 1)  # the term of m for each n, before weighting
         for b, col_terms in d_cols.items():
             if b <= col:
-                # X^r Y^(col-b) of the power, from the first row r that
-                # reaches n_lo; compress skips its zeros in C
-                r0 = max(0, n_lo - col_terms[-1][0])
-                column = flat[r0 * width + col - b :: width]
-                for r, v in compress(enumerate(column, r0), column):
+                # X^r Y^(col-b) of the power; compress skips its zeros in C
+                column = flat[col - b :: width]
+                for r, v in compress(enumerate(column), column):
                     for a, c in col_terms:
                         if r + a > n_max:
                             break
                         acc[r + a] += c * v
-        for n in compress(range(n_lo, n_max + 1), acc[n_lo:]):
-            bucket = sums if n >= n_lo_sum else tails
-            bucket[n] += w * acc[n]
+        for n in compress(range(n_max + 1), acc):
+            sums[n] += w * acc[n]
         if m < m_top:
             cur = cur * factor
             if cur.is_zero():
                 m_stop = m
                 break  # all later powers vanish on the box too
-    sums = [norm(v) for v in sums]
-    tails = [norm(v) for v in tails]
-    return sums, tails, m_stop
+    return [norm(v) for v in sums], m_stop
 
 
 def taylor_residual(p: BiSeries, f: UniSeries) -> BiSeries:
@@ -452,7 +442,7 @@ def solve_series(prob: ImplicitProblem, n_max: int, method) -> SolveReport:
             raise PositiveCharacteristicError(
                 "the char0 method needs characteristic zero"
             )
-        sums, _, m_stop = _extraction_vectors(prob, n_max, char_zero_form=char0)
+        sums, m_stop = _extraction_vectors(prob, n_max, char_zero_form=char0)
         f = UniSeries._raw(prob.field, sums)
         m_terms = tuple(range(1, m_stop + 1))
     return SolveReport(method, f, _implicit_residual_zero(prob, f), m_terms)

@@ -126,7 +126,7 @@ def lagrange_oracle(phi, n, variant="general"):
         pw = pw * w
     top = (pw * w)._c[n - 1]
     if variant == "char0":
-        return field.divide(top, n)
+        return field.normalize(top * field.invert(n))
     if n == 1:
         return top
     dphi = UniSeries(field, [k * c for k, c in enumerate(w._c)][1:])

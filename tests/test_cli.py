@@ -265,6 +265,15 @@ def test_syntax_error_exits_2(capsys):
     assert err == "error: expected a number, 'X', 'Y', or '(', found '*' (byte offset 3)\n"
 
 
+def test_non_decimal_digit_exits_2(capsys):
+    # '²' is a digit to str.isdigit but not a decimal one
+    code, out, err = run_cli(
+        capsys, "solve", "--field", "q", "--poly", "X+Y²", "--order", "3"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: unexpected character '²' (byte offset 3)\n"
+
+
 def test_negative_exponent_exits_2(capsys):
     code, out, err = run_cli(
         capsys, "solve", "--field", "q", "--poly", "X^-2", "--order", "3"
@@ -371,6 +380,31 @@ def test_composite_modulus_exits_1(capsys):
     )
     assert code == 1
     assert err == "error: modulus 4 is not prime\n"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("fp:abc", "unknown field 'fp:abc': use q or fp:<prime>"),
+        ("fp:", "unknown field 'fp:': use q or fp:<prime>"),
+        ("fp:-7", "modulus must satisfy 2 <= p < 2**31, got -7"),
+    ],
+)
+def test_malformed_modulus_exits_1(capsys, spec, message):
+    code, out, err = run_cli(
+        capsys, "solve", "--field", spec, "--poly", "X + Y^2", "--order", "3"
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_modulus_spellings_that_parse_still_work(capsys):
+    # int() reads underscores and non-ASCII decimal digits
+    for spec in ("fp:1_0007", "fp:\u0667"):
+        code, out, _ = run_cli(
+            capsys, "solve", "--field", spec, "--poly", "X + Y^2", "--order", "3"
+        )
+        assert code == 0 and out == "0: 0\n1: 1\n2: 1\n3: 2\n", spec
 
 
 def test_char0_method_in_characteristic_p_exits_1(capsys):

@@ -203,11 +203,19 @@ def test_multibyte_offsets_are_in_bytes():
         ("\u3000X\u00a0Y", "expected end of input, found 'Y' (byte offset 6)"),
         ("X +\u3000\u00a0", "found end of input (byte offset 8)"),
         ("\u00a0" * 3 + "X + \u3000" * 2 + "*", "found '*' (byte offset 20)"),
+        # a digit that is not a decimal digit is not part of a number
+        ("X+Y²", "unexpected character '²' (byte offset 3)"),
+        ("X^²", "unexpected character '²' (byte offset 2)"),
     ]
     for text, message in cases:
         with pytest.raises(ExpressionSyntaxError) as e:
             parse_expression(text, Q)
         assert str(e.value).endswith(message), text
+
+
+def test_non_ascii_decimal_digits_are_numbers():
+    # Arabic-Indic three and fullwidth four read as 3 and 4
+    assert parse_expression("\uff14*X+Y^\u0663", Q) == parse_expression("4*X+Y^3", Q)
 
 
 def test_literal_errors_follow_syntax_errors_in_text_order():

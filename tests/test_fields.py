@@ -38,7 +38,7 @@ def test_prime_field_basic():
     assert (a * b).value == 1
     assert (a - b).value == 5
     assert (-a).value == 4
-    assert a.inverse().value == 5
+    assert (1 / a).value == 5
     assert (b / a).value == 4
 
 
@@ -100,7 +100,7 @@ def test_field_axioms_randomized():
             assert a - a == zero
             assert a + (-a) == zero
             if b != zero:
-                assert b * b.inverse() == one
+                assert b * (1 / b) == one
                 assert (a / b) * b == a
 
 
@@ -110,8 +110,6 @@ def test_division_by_zero():
         zero = FieldElement(field, field.coerce(0))
         with pytest.raises(ZeroDivisionError):
             one / zero
-        with pytest.raises(ZeroDivisionError):
-            zero.inverse()
 
 
 def test_from_rational():

@@ -190,17 +190,29 @@ def test_extraction_whole_vector_matches_oracle():
             p = random_implicit_poly(rng, field, 8, 8)
             prob = ImplicitProblem(p)
             oracle = linear_fixed_point(prob, 8)
-            sums, tails, _ = _extraction_vectors(prob, 8, extra_m=4)
-            assert sums == oracle._c
-            assert all(v == 0 for v in tails)
+            plain, _ = _extraction_vectors(prob, 8)
+            wide, _ = _extraction_vectors(prob, 8, extra_m=4)
+            assert plain == oracle._c
+            assert wide == plain
 
 
 def test_extraction_sums_unchanged_by_tail_window():
-    prob = catalan_problem(Q, 6)
-    plain = _extraction_vectors(prob, 6)
-    widened = _extraction_vectors(prob, 6, extra_m=4)
-    assert plain[0] == widened[0]
-    assert all(v == 0 for v in widened[1])
+    # the truncation bound: every term with m > 2n - 1 vanishes, so sweeping
+    # past m_top adds nothing to any sum, in either form
+    rng = make_rng("extraction-tail-window")
+    for field in FIELDS:
+        problems = [catalan_problem(field, 6)] + [
+            ImplicitProblem(random_implicit_poly(rng, field, 6, 6))
+            for _ in range(6)
+        ]
+        for prob in problems:
+            for char0 in (False, True) if not field.characteristic else (False,):
+                plain, _ = _extraction_vectors(prob, 6, char_zero_form=char0)
+                for extra_m in (1, 4):
+                    wide, _ = _extraction_vectors(
+                        prob, 6, extra_m=extra_m, char_zero_form=char0
+                    )
+                    assert wide == plain, (field.tag, char0, extra_m, prob.p)
 
 
 def _fractional_problems():
@@ -231,7 +243,7 @@ def test_extraction_over_q_with_a_common_denominator():
     # over Q the sweep runs on den * P in integers, den the lcm of the
     # denominators on the working box, and divides term m by den^(m+1)
     # (theorem) or m * den^m (char0): the answers are the oracle's, payload
-    # for payload, and the tail terms still vanish
+    # for payload, and sweeping past m_top still adds nothing
     for polynomial in (True, False):
         for p, n, den in _fractional_problems():
             work = p.resized(n, 2 * n + 3)._c
@@ -239,11 +251,12 @@ def test_extraction_over_q_with_a_common_denominator():
             prob = ImplicitProblem(p, is_polynomial=polynomial)
             oracle = linear_fixed_point(prob, n)
             for char0 in (False, True):
-                sums, tails, _ = _extraction_vectors(
+                plain, _ = _extraction_vectors(prob, n, char_zero_form=char0)
+                wide, _ = _extraction_vectors(
                     prob, n, extra_m=4, char_zero_form=char0
                 )
-                assert repr(sums) == repr(oracle._c), (p, char0)
-                assert tails == [0] * (n + 1)
+                assert repr(plain) == repr(oracle._c), (p, char0)
+                assert repr(wide) == repr(plain), (p, char0)
                 method = "char0" if char0 else "theorem"
                 report = solve_series(prob, n, method)
                 assert report.solution == oracle and report.residual_zero
