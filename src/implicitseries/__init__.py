@@ -39,7 +39,7 @@ from .errors import (
     ZeroConstantTermError,
     ZeroLinearYTermError,
 )
-from .expressions import format_biseries, lower_expression, parse_expression
+from .expressions import lower_expression, parse_expression
 from .fields import Field, FieldElement, PrimeField, RationalField
 from .series import BiSeries, UniSeries
 from .solver import (
@@ -88,7 +88,6 @@ __all__ = [
     "ZeroConstantTermError",
     "ZeroLinearYTermError",
     "factor_out_root",
-    "format_biseries",
     "furstenberg_solve",
     "lower_expression",
     "parse_expression",

@@ -66,11 +66,14 @@ def make_field(spec: str) -> Field:
 
 def _box_argument(text: str):
     parts = text.split("x") if "x" in text else text.split(",")
-    if len(parts) != 2 or not all(p.strip().isdecimal() for p in parts):
-        raise argparse.ArgumentTypeError(
-            f"expected a box like 4x3 (x-order by y-order), got {text!r}"
-        )
-    return int(parts[0]), int(parts[1])
+    if len(parts) == 2 and all(p.strip().isdecimal() for p in parts):
+        try:
+            return int(parts[0]), int(parts[1])
+        except ValueError:  # a part beyond int()'s digit limit
+            pass
+    raise argparse.ArgumentTypeError(
+        f"expected a box like 4x3 (x-order by y-order), got {text!r}"
+    )
 
 
 def _nonnegative(text: str) -> int:

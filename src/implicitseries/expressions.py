@@ -1,4 +1,4 @@
-"""Parsing and printing of polynomial expressions in X and Y.
+"""Parsing of polynomial expressions in X and Y.
 
 The accepted grammar, whitespace-insensitive between tokens::
 
@@ -16,7 +16,8 @@ evaluated during parsing, so ``X^2^3`` is ``X^8`` and ``2^3^2`` is
 :class:`ExponentTooLargeError`.  Parsing is one left-to-right pass with
 an explicit stack of pending operators (shunting-yard), so no construct
 costs interpreter stack; parentheses nest at most ``MAX_PAREN_DEPTH``
-(100) deep, and everything else may repeat without bound.  The pass
+(100) deep, a number has at most ``MAX_LITERAL_DIGITS`` (4300) digits,
+and everything else may repeat without bound.  The pass
 converts each literal to the field once and emits postfix code, which
 lowering runs on sparse term maps cut to the box, so its cost follows
 the terms of the expression, not the size of the box; over Q it refuses
@@ -42,6 +43,9 @@ from .series import BiSeries, _check_cells
 
 _SYMBOLS = set("+-*/^()")
 MAX_PAREN_DEPTH = 100
+# CPython's default limit on int-from-string conversion: a longer digit run
+# is a syntax error before int() reads it, whatever the interpreter's setting
+MAX_LITERAL_DIGITS = 4300
 # over Q, c^m for a constant term c other than 0 and +-1 is refused when
 # m times the bit length of c's numerator or denominator exceeds this:
 # every later product pays for the size of c^m
@@ -67,6 +71,10 @@ def _tokenize(text: str) -> list:
             j = i
             while j < n and text[j].isdecimal():
                 j += 1
+            if j - i > MAX_LITERAL_DIGITS:
+                raise ExpressionSyntaxError(
+                    f"number longer than {MAX_LITERAL_DIGITS} digits", offset
+                )
             tokens.append(("int", int(text[i:j]), offset))
             i = j
         elif ch in ("X", "Y"):
@@ -267,32 +275,3 @@ def lower_expression(code, field: Field, x_order: int, y_order: int) -> BiSeries
     terms = [(i, j, c) for (i, j), c in values.pop().items()]
     return BiSeries.from_terms(field, terms, x_order, y_order)
 
-
-def format_biseries(p: BiSeries) -> str:
-    """Render a series as an expression the parser accepts.
-
-    Terms appear in row-major order; over the rationals a negative
-    coefficient prints with a binary minus, so the output round-trips
-    through :func:`parse_expression` and :func:`lower_expression` on
-    the same box.
-    """
-    terms = p.nonzero_terms()
-    if not terms:
-        return "0"
-    rendered = []
-    for i, j, c in terms:
-        negative = c < 0
-        magnitude = -c if negative else c
-        parts = []
-        if magnitude != 1 or (i == 0 and j == 0):
-            parts.append(str(magnitude))
-        if i:
-            parts.append("X" if i == 1 else f"X^{i}")
-        if j:
-            parts.append("Y" if j == 1 else f"Y^{j}")
-        rendered.append((negative, "*".join(parts)))
-    first_neg, first_body = rendered[0]
-    out = [("-" if first_neg else "") + first_body]
-    for negative, body in rendered[1:]:
-        out.append((" - " if negative else " + ") + body)
-    return "".join(out)

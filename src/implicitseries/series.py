@@ -33,7 +33,7 @@ integers over the lcm of its denominators (``_integral``), and each
 result cell becomes one ``Fraction`` over the product of the two lcms,
 so a product pays a gcd per result cell, not per term pair.
 
-``zero``, which the builders and ``BiSeries.resized`` start from, refuses
+``zero``, which ``from_terms`` and ``BiSeries.resized`` start from, refuses
 a box of more than ``MAX_BOX_CELLS`` cells with :class:`BoxTooLargeError`
 before allocating it.
 """
@@ -289,8 +289,8 @@ class _Series:
         """The sorted flat indices of the nonzero entries, found once.
 
         It is stored in ``_nz``, so the entries must not change after the
-        first call; the builders that fill a fresh ``zero()`` list do not
-        call it before their writes end.
+        first call; ``from_terms``, which fills a fresh ``zero()`` list,
+        does not call it before its writes end.
         """
         nz = self._nz
         if nz is None:
@@ -487,30 +487,10 @@ class BiSeries(_Series):
         return cls._raw(field, [0] * ((x_order + 1) * (y_order + 1)), y_order + 1)
 
     @classmethod
-    def one(cls, field: Field, x_order: int, y_order: int) -> "BiSeries":
-        out = cls.zero(field, x_order, y_order)
-        out._c[0] = 1
-        return out
-
-    @classmethod
-    def monomial(
-        cls, field: Field, value, i: int, j: int, x_order: int, y_order: int
-    ) -> "BiSeries":
-        """``value * X^i Y^j`` on the given box.
-
-        A monomial beyond the box truncates to the zero series, in line
-        with the quotient-ring reading of truncation.
-        """
-        if i < 0 or j < 0:
-            raise ValueError("monomial exponents must be >= 0")
-        out = cls.zero(field, x_order, y_order)
-        if i <= x_order and j <= y_order:
-            out._c[i * out._w + j] = field.coerce(value)
-        return out
-
-    @classmethod
     def from_terms(cls, field: Field, terms, x_order: int, y_order: int) -> "BiSeries":
-        """Build a series from ``(i, j, value)`` triples; later terms add."""
+        """A series on the box from ``(i, j, value)`` triples: later terms
+        add, terms beyond the box are dropped (the quotient-ring reading of
+        truncation), and a negative exponent raises ``ValueError``."""
         out = cls.zero(field, x_order, y_order)
         c, w = out._c, out._w
         norm = field.normalize
@@ -519,13 +499,6 @@ class BiSeries(_Series):
                 raise ValueError("term exponents must be >= 0")
             if i <= x_order and j <= y_order:
                 c[i * w + j] = norm(c[i * w + j] + field.coerce(value))
-        return out
-
-    @classmethod
-    def from_uniseries(cls, f: UniSeries, y_order: int) -> "BiSeries":
-        """Embed a series in X on the box ``(f.order, y_order)``."""
-        out = cls.zero(f.field, f.order, y_order)
-        out._c[:: out._w] = f._c
         return out
 
     @property
@@ -585,7 +558,8 @@ class BiSeries(_Series):
         ``pow(a, 0)`` is the constant-one series on the same box, for
         any ``a`` including zero.
         """
-        return _binary_pow(self, m, BiSeries.one(self.field, self.x_order, self.y_order))
+        one = BiSeries.from_terms(self.field, [(0, 0, 1)], self.x_order, self.y_order)
+        return _binary_pow(self, m, one)
 
     def hasse_derivative(self, m: int) -> "BiSeries":
         """The m-th Hasse derivative in Y.
@@ -647,7 +621,8 @@ class BiSeries(_Series):
 
     def reciprocal(self) -> "BiSeries":
         """Multiplicative inverse on the same box: ``one / self``."""
-        return BiSeries.one(self.field, self.x_order, self.y_order) / self
+        one = BiSeries.from_terms(self.field, [(0, 0, 1)], self.x_order, self.y_order)
+        return one / self
 
     def diagonal(self) -> UniSeries:
         """The series of coefficients of ``X^n Y^n``, one variable, up to

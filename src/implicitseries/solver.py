@@ -192,7 +192,7 @@ def solve_fixed_point(prob: ImplicitProblem, n_max: int) -> UniSeries:
     return f
 
 
-def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
+def _extraction_vectors(prob, n_max, char_zero_form=False):
     """Shared sweep behind the extraction formulas.
 
     Each m adds the coefficients of X^n Y^(m-1) in D * P^m, for
@@ -200,13 +200,13 @@ def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
     sum per n.  Returns ``(sums, m_stop)``: ``sums[n]`` as a raw payload,
     and ``m_stop``, the largest m actually accumulated.  Every factor of
     P^m brings an X or a Y^2, so the terms with m > 2n - 1 vanish and
-    the sweep runs to m_top = 2 n_max - 1; the tests check that bound by
-    widening m_top with ``extra_m`` and getting the same sums.  P^m is
-    maintained as a running product and the sweep stops early once the
-    power vanishes on the working box (all later terms are then
+    the sweep runs to m_top = 2 n_max - 1; the tests check that bound
+    with an oracle of their own, which forms D * P^m just past it.  P^m
+    is maintained as a running product and the sweep stops early once
+    the power vanishes on the working box (all later terms are then
     identically zero).  When every term of P carries X, P^m has no term
-    below X^m, so the sweep stops at m = n_max + extra_m and its box is
-    (n_max, n_max - 1 + extra_m), not (n_max, 2 n_max - 2 + extra_m).
+    below X^m, so the sweep stops at m = n_max and its box is
+    (n_max, n_max - 1), not (n_max, 2 n_max - 2).
 
     Over Q, with ``den`` the lcm of the denominators on the working box,
     the sweep multiplies the integral ``den * P`` instead, with
@@ -223,13 +223,13 @@ def _extraction_vectors(prob, n_max, extra_m=0, char_zero_form=False):
         return sums, 0
     if not prob.is_polynomial:
         _require_box(p, n_max, 2 * n_max - 1)
-    m_top = 2 * n_max - 1 + extra_m
+    m_top = 2 * n_max - 1
     # columns up to m_top - 1 feed the extractions; the derivative
     # factor additionally reads P's column m_top
     terms = [t for t in p.nonzero_terms() if t[0] <= n_max and t[1] <= m_top]
     if all(i for i, _, _ in terms):
         # every term carries X, so P^m vanishes on the box for m > n_max
-        m_top = n_max + extra_m
+        m_top = n_max
         terms = [t for t in terms if t[1] <= m_top]
     # over Q, scale P to the integral den * P (see above)
     den = 1
@@ -293,15 +293,16 @@ def taylor_residual(p: BiSeries, f: UniSeries) -> BiSeries:
     zero.  Requires f(0) = 0 and f.order >= p.x_order.
     """
     nx, ny = p.x_order, p.y_order
-    base = BiSeries.monomial(p.field, 1, 0, 1, nx, ny) - BiSeries.from_uniseries(
-        f.resized(nx), ny
-    )
+    # Y - f, over the field of f: subst_y below checks the field, f(0) = 0
+    # and the order of f
+    terms = [(0, 1, 1)] + [(i, 0, -c) for i, c in enumerate(f._c)]
+    base = BiSeries.from_terms(f.field, terms, nx, ny)
     residual = p
-    pw = BiSeries.one(p.field, nx, ny)
+    pw = BiSeries.from_terms(p.field, [(0, 0, 1)], nx, ny)
     for m in range(ny + 1):
-        # subst_y checks the field, f(0) = 0 and the order of f
         value = p.hasse_derivative(m).subst_y(f)
-        residual = residual - pw * BiSeries.from_uniseries(value, ny)
+        terms = [(i, 0, c) for i, c in enumerate(value._c)]
+        residual = residual - pw * BiSeries.from_terms(p.field, terms, nx, ny)
         if m < ny:
             pw = pw * base
     return residual
@@ -412,7 +413,7 @@ def _as_root_problem(prob: ImplicitProblem, n_max: int) -> RootProblem:
         _require_box(p, n_max, n_max)
     ny = max(n_max, 1)
     work = p.resized(n_max, ny)
-    q = work - BiSeries.monomial(prob.field, 1, 0, 1, n_max, ny)
+    q = work - BiSeries.from_terms(prob.field, [(0, 1, 1)], n_max, ny)
     return RootProblem(q)
 
 

@@ -87,6 +87,46 @@ def random_root_poly(rng, field, x_order, y_order, max_degree=4, n_terms=3):
     return BiSeries.from_terms(field, terms, x_order, y_order)
 
 
+def embed_x(f, y_order):
+    """The series ``f`` in X on the box ``(f.order, y_order)``."""
+    terms = [(i, 0, c) for i, c in enumerate(f._c)]
+    return BiSeries.from_terms(f.field, terms, f.order, y_order)
+
+
+def tail_term_count(prob, n_max, char_zero_form=False):
+    """The nonzero terms the extraction sweep would add past its bound.
+
+    Every factor of P^m brings an X or a Y^2, so [X^n Y^(m-1)] D * P^m
+    vanishes for m > 2n - 1, and for m > n when every term of P carries
+    X.  For the 4 values of m just past that bound on ``n_max``, this
+    counts the nonzero [X^n Y^(m-1)] of D * P^m with n <= n_max, where
+    D = 1 - dP/dY, or D = 1 for the char0 form.  It forms P^(bound+1)
+    with ``BiSeries.pow`` and the later powers by running products,
+    without the sweep it checks, so a zero count shows that stopping the
+    sweep at the bound loses nothing.
+    """
+    field = prob.field
+    # the same terms and bound as the sweep: those in reach of n <= n_max
+    terms = [
+        t for t in prob.p.nonzero_terms() if t[0] <= n_max and t[1] <= 2 * n_max - 1
+    ]
+    bound = n_max if all(i for i, _, _ in terms) else 2 * n_max - 1
+    # columns up to bound + 3 are read; dP/dY needs one more
+    ny = bound + 3
+    p = BiSeries.from_terms(field, prob.p.nonzero_terms(), n_max, ny + 1)
+    d = BiSeries.from_terms(field, [(0, 0, 1)], n_max, ny)
+    if not char_zero_form:
+        d = d - p.hasse_derivative(1)
+    p = p.resized(n_max, ny)
+    power = p.pow(bound + 1)
+    count = 0
+    for m in range(bound + 1, bound + 5):
+        term = d * power
+        count += sum(1 for n in range(n_max + 1) if term.coeff(n, m - 1))
+        power = power * p
+    return count
+
+
 def linear_fixed_point(prob, n_max):
     """The ground truth for every solve method: iterate f <- P(X, f) from 0.
 

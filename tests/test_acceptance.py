@@ -30,6 +30,7 @@ from implicitseries.solver import _extraction_vectors
 
 from conftest import (
     FIELDS,
+    embed_x,
     lagrange_oracle,
     make_rng,
     random_biseries,
@@ -37,6 +38,7 @@ from conftest import (
     random_nonzero_value,
     random_root_poly,
     random_uniseries,
+    tail_term_count,
 )
 
 Q = RationalField()
@@ -66,9 +68,9 @@ def catalan_problem(field, n_max):
 
 
 # ---------------------------------------------------------------------------
-# Shared fuzz sweep: criterion 3 consumes the main sums, criterion 7 the
-# same sweep widened past the truncation bound (to m <= 2n+3), which must
-# not change them, so both come out of one pass over the same instances.
+# Shared fuzz sweep: criterion 3 consumes the main sums, criterion 7 counts
+# the nonzero terms just past the sweep's truncation bound (four more m), so
+# both come out of one pass over the same instances.
 
 _FUZZ = {}
 
@@ -88,11 +90,9 @@ def cross_method_fuzz():
                 rng, field, 4, 4, max_degree=4, n_terms=rng.randint(2, 7)
             )
             prob = ImplicitProblem(p)
-            plain, _ = _extraction_vectors(prob, n_max)
-            wide, _ = _extraction_vectors(prob, n_max, extra_m=4)
-            nonzero_tail_entries += sum(1 for a, b in zip(wide, plain) if a != b)
+            nonzero_tail_entries += tail_term_count(prob, n_max)
             vectors = {
-                "theorem": plain,
+                "theorem": _extraction_vectors(prob, n_max)[0],
                 "fixpoint": solve_fixed_point(prob, n_max)._c,
                 "furstenberg": solve_series(
                     prob, n_max, SolveMethod.FURSTENBERG
@@ -166,9 +166,8 @@ def test_05_factorization(capsys):
                 rp = RootProblem(q)
                 f = furstenberg_solve(rp, 8)
                 r = factor_out_root(rp, f)
-                y_minus_f = BiSeries.monomial(
-                    field, 1, 0, 1, 8, 7
-                ) - BiSeries.from_uniseries(f, 7)
+                y = BiSeries.from_terms(field, [(0, 1, 1)], 8, 7)
+                y_minus_f = y - embed_x(f, 7)
                 assert (y_minus_f.resized(8, 8) * r.resized(8, 8)) == q, (
                     field.tag,
                     q,
@@ -179,9 +178,9 @@ def test_05_factorization(capsys):
         f = furstenberg_solve(rp, 12)
         r = factor_out_root(rp, f)
         expected = (
-            BiSeries.one(Q, 12, 11)
-            - BiSeries.from_uniseries(f, 11)
-            - BiSeries.monomial(Q, 1, 0, 1, 12, 11)
+            BiSeries.from_terms(Q, [(0, 0, 1)], 12, 11)
+            - embed_x(f, 11)
+            - BiSeries.from_terms(Q, [(0, 1, 1)], 12, 11)
         )
         assert r == expected
 

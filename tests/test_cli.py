@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from implicitseries import BiSeries, UniSeries, cli, format_biseries, series
+from implicitseries import UniSeries, cli, series
 from implicitseries.cli import main
 
 from conftest import (
@@ -114,6 +114,30 @@ def test_hasse_plain_both_box_spellings(capsys):
         )
         assert code == 0 and err == ""
         assert out == expected
+
+
+def _box_refused(capsys, box):
+    with pytest.raises(SystemExit) as exc:
+        main(["hasse", "--field", "q", "--poly", "X", "--box", box, "--m", "0"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    # argparse's usage block, then one error line
+    last = captured.err.splitlines()[-1]
+    assert last == (
+        "implicitseries hasse: error: argument --box: expected a box like 4x3 "
+        f"(x-order by y-order), got {box!r}"
+    )
+
+
+def test_malformed_box_exits_2(capsys):
+    for box in ("4x", "4x3x2", "ax3", "4,3,", "1.5x3"):
+        _box_refused(capsys, box)
+
+
+def test_box_part_longer_than_4300_digits_exits_2(capsys):
+    # int() refuses it: the message is still the box one, not argparse's
+    # "invalid _box_argument value"
+    _box_refused(capsys, "1" + "0" * 4400 + "x1")
 
 
 def test_factor_plain(capsys):
@@ -263,6 +287,18 @@ def test_syntax_error_exits_2(capsys):
     )
     assert code == 2 and out == ""
     assert err == "error: expected a number, 'X', 'Y', or '(', found '*' (byte offset 3)\n"
+
+
+def test_literal_longer_than_4300_digits_exits_2(capsys):
+    # refused by the parser, not by int()'s digit limit, whose message
+    # names an interpreter setting
+    poly = "X + 1" + "0" * 4400 + "*X^2"
+    for field in ("q", "fp:7"):
+        code, out, err = run_cli(
+            capsys, "solve", "--field", field, "--poly", poly, "--order", "3"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: number longer than 4300 digits (byte offset 4)\n"
 
 
 def test_non_decimal_digit_exits_2(capsys):
@@ -492,8 +528,7 @@ def test_lagrange_matches_the_textbook_formula(capsys):
         variants = ["general"] if field.characteristic else ["general", "char0"]
         for coeffs in phis:
             phi = UniSeries(field, coeffs)
-            terms = [(0, j, c) for j, c in enumerate(coeffs)]
-            text = format_biseries(BiSeries.from_terms(field, terms, 0, 7))
+            text = " + ".join(f"({c})*Y^{j}" for j, c in enumerate(coeffs))
             for variant in variants:
                 want = ["0: 0"]
                 for n in range(1, 9):

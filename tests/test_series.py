@@ -20,7 +20,14 @@ from implicitseries import (
     series,
 )
 
-from conftest import FIELDS, make_rng, random_biseries, random_uniseries, random_value
+from conftest import (
+    FIELDS,
+    embed_x,
+    make_rng,
+    random_biseries,
+    random_uniseries,
+    random_value,
+)
 
 Q = RationalField()
 
@@ -108,7 +115,7 @@ def test_uniseries_quotient_randomized_and_guards():
     with pytest.raises(TypeError, match="^expected a UniSeries, got int$"):
         one / 2
     with pytest.raises(TypeError, match="^expected a UniSeries, got BiSeries$"):
-        one / BiSeries.one(Q, 3, 0)
+        one / BiSeries.from_terms(Q, [(0, 0, 1)], 3, 0)
     with pytest.raises(FieldMismatchError):
         one / UniSeries(PrimeField(2), [1, 0, 0, 0])
     with pytest.raises(ShapeMismatchError, match=r"^orders differ: 3 vs 4"):
@@ -136,36 +143,37 @@ def test_biseries_construction_and_access():
 
 
 def test_biseries_builders():
-    m = BiSeries.monomial(Q, 5, 1, 2, 3, 3)
+    # from_terms is the one builder
+    m = BiSeries.from_terms(Q, [(1, 2, 5)], 3, 3)
     assert m.nonzero_terms() == [(1, 2, 5)]
-    # beyond the box truncates to zero, matching the quotient-ring view
-    assert BiSeries.monomial(Q, 5, 4, 0, 3, 3).is_zero()
-    with pytest.raises(ValueError):
-        BiSeries.monomial(Q, 5, -1, 0, 3, 3)
-    # from_terms accumulates duplicates and ignores beyond-box terms
+    # beyond the box, in either axis, truncates to zero, matching the
+    # quotient-ring view; a negative exponent is refused, in either axis
+    assert BiSeries.from_terms(Q, [(4, 0, 5)], 3, 3).is_zero()
+    assert BiSeries.from_terms(Q, [(0, 4, 5)], 3, 3).is_zero()
+    for i, j in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="^term exponents must be >= 0$"):
+            BiSeries.from_terms(Q, [(i, j, 5)], 3, 3)
+    # later terms add, and may cancel
     s = BiSeries.from_terms(Q, [(0, 1, 2), (0, 1, 3), (9, 9, 1)], 2, 2)
     assert s.nonzero_terms() == [(0, 1, 5)]
-    f = UniSeries(Q, [0, 1, 4])
-    e = BiSeries.from_uniseries(f, 2)
-    assert e.x_order == 2 and e.y_order == 2
-    assert e.column(0) == f and e.column(1).is_zero()
-    assert BiSeries.one(Q, 1, 1).nonzero_terms() == [(0, 0, 1)]
+    assert BiSeries.from_terms(Q, [(1, 1, 2), (1, 1, -2)], 2, 2).is_zero()
+    # values are coerced into the field: 1 + 13 = 0 and 1/2 = 4 in GF(7)
+    terms = [(0, 0, 1), (0, 0, 13), (1, 0, Fraction(1, 2))]
+    gf7 = BiSeries.from_terms(PrimeField(7), terms, 1, 1)
+    assert gf7.nonzero_terms() == [(1, 0, 4)]
 
 
 def test_boxes_beyond_max_box_cells_refused():
     # zero() refuses a box of more than MAX_BOX_CELLS cells before
-    # allocating it, and so do the builders and resized that start from it
+    # allocating it, and so do from_terms and resized, which start from it
     cap = series.MAX_BOX_CELLS
     assert len(UniSeries.zero(Q, cap - 1)._c) == cap
     refused = [
         lambda: UniSeries.zero(Q, cap),
         lambda: BiSeries.zero(Q, 2048, 2047),
         lambda: BiSeries.zero(Q, 0, cap),
-        lambda: BiSeries.one(Q, 8000, 15999),
-        lambda: BiSeries.monomial(Q, 1, 0, 1, 4096, 4096),
         lambda: BiSeries.from_terms(Q, [(1, 0, 1)], cap, 1),
-        lambda: BiSeries.from_uniseries(UniSeries(Q, [0, 1]), cap),
-        lambda: BiSeries.one(Q, 1, 1).resized(4096, 1023),
+        lambda: BiSeries.from_terms(Q, [(0, 0, 1)], 1, 1).resized(4096, 1023),
     ]
     for make in refused:
         with pytest.raises(BoxTooLargeError, match=f"more than {cap}"):
@@ -242,9 +250,9 @@ def test_products_match_the_textbook_convolution():
         assert a * b == _textbook_product(a, b)
         # a term in the last column times Y leaves the box; it must not wrap
         # into column 0 of the next row
-        y = BiSeries.monomial(field, 1, 0, 1, 4, 3)
+        y = BiSeries.from_terms(field, [(0, 1, 1)], 4, 3)
         for i in range(5):
-            edge = BiSeries.monomial(field, 1, i, 3, 4, 3)
+            edge = BiSeries.from_terms(field, [(i, 3, 1)], 4, 3)
             assert (edge * y).is_zero() and (y * edge).is_zero()
             assert (edge + y) * y == _textbook_product(edge + y, y)
 
@@ -336,7 +344,7 @@ def test_products_over_q_match_the_textbook_convolution():
                         assert product._nz == _support_of(product)
                     u, v = x.column(0), y.column(ny)
                     textbook = _textbook_product(
-                        BiSeries.from_uniseries(u, 0), BiSeries.from_uniseries(v, 0)
+                        embed_x(u, 0), embed_x(v, 0)
                     )
                     assert (u * v)._c == textbook._c
                     assert _normalized_over_q(u * v)
@@ -371,12 +379,15 @@ def test_support_matches_the_entries():
         f = UniSeries(field, [0, 1, 4, 0])
         a = BiSeries.from_terms(field, _sparse_terms(rng, field, 6, 9, 6), 6, 9)
         dense = random_biseries(rng, field, 6, 9)
-        unit = BiSeries.one(field, 6, 9) + a * BiSeries.monomial(field, 1, 1, 0, 6, 9)
+        unit = BiSeries.from_terms(field, [(0, 0, 1)], 6, 9) + a * BiSeries.from_terms(
+            field, [(1, 0, 1)], 6, 9
+        )
         made += [
             BiSeries.zero(field, 3, 4), UniSeries.zero(field, 5),
-            BiSeries.one(field, 6, 9), BiSeries.monomial(field, 3, 2, 5, 6, 9),
-            BiSeries.monomial(field, 3, 7, 0, 6, 9), a, dense, f,
-            BiSeries.from_uniseries(f, 4), a.resized(9, 3), a.resized(3, 12),
+            BiSeries.from_terms(field, [(0, 0, 1)], 6, 9),
+            BiSeries.from_terms(field, [(2, 5, 3)], 6, 9),
+            BiSeries.from_terms(field, [(7, 0, 3)], 6, 9), a, dense, f,
+            embed_x(f, 4), a.resized(9, 3), a.resized(3, 12),
             a + dense, a - a, -a, dense / unit, a / unit, f.resized(9),
             a * a, a * dense, dense * dense, f * f, a.column(1), a.diagonal(),
             a.hasse_derivative(2), dense.subst_y(UniSeries(field, list(range(7)))),
@@ -394,7 +405,7 @@ def test_support_matches_the_entries():
     y = x * x
     assert x._nz == [1, 42] and y._nz == _support_of(y) == [2, 43, 84]
     assert not y.is_zero()
-    assert (x * BiSeries.monomial(Q, 1, 20, 20, 20, 20)).is_zero()
+    assert (x * BiSeries.from_terms(Q, [(20, 20, 1)], 20, 20)).is_zero()
 
 
 def test_sparse_loop_runs_only_where_it_pays(kron_calls):
@@ -535,8 +546,8 @@ def test_biseries_ring_axioms_randomized():
             assert a * (b + c) == a * b + a * c
             assert (a - b) + b == a
             assert a.pow(3) == a * a * a
-            assert a * BiSeries.monomial(field, 2, 0, 0, nx, ny) == a + a
-            assert a * BiSeries.one(field, nx, ny) == a
+            assert a * BiSeries.from_terms(field, [(0, 0, 2)], nx, ny) == a + a
+            assert a * BiSeries.from_terms(field, [(0, 0, 1)], nx, ny) == a
 
 
 def test_hasse_derivative_matches_binomial_rule():
@@ -585,7 +596,9 @@ def test_hasse_composition_law():
             k = rng.randint(0, ny)
             m = rng.randint(0, ny - k)
             lhs = p.hasse_derivative(k).hasse_derivative(m)
-            scale = BiSeries.monomial(field, math.comb(k + m, m), 0, 0, 2, ny - k - m)
+            scale = BiSeries.from_terms(
+                field, [(0, 0, math.comb(k + m, m))], 2, ny - k - m
+            )
             rhs = p.hasse_derivative(k + m) * scale
             assert lhs == rhs
 
@@ -672,8 +685,8 @@ def test_reciprocal_randomized_and_guards():
             if not u.coeff(0, 0):
                 with pytest.raises(NotAUnitError):
                     u.reciprocal()
-                u = u + BiSeries.one(field, nx, ny)
-            assert u * u.reciprocal() == BiSeries.one(field, nx, ny)
+                u = u + BiSeries.from_terms(field, [(0, 0, 1)], nx, ny)
+            assert u * u.reciprocal() == BiSeries.from_terms(field, [(0, 0, 1)], nx, ny)
     with pytest.raises(NotAUnitError):
         BiSeries.from_terms(Q, [(1, 0, 1)], 2, 2).reciprocal()
 
@@ -689,14 +702,16 @@ def test_quotient_randomized_and_guards():
             if not u.coeff(0, 0):
                 with pytest.raises(NotAUnitError):
                     a / u
-                u = u + BiSeries.one(field, nx, ny)
+                u = u + BiSeries.from_terms(field, [(0, 0, 1)], nx, ny)
             assert u * (a / u) == a
             with pytest.raises(ShapeMismatchError):
                 a / u.resized(nx + 1, ny)
     with pytest.raises(NotAUnitError):
-        BiSeries.one(Q, 2, 2) / BiSeries.from_terms(Q, [(1, 0, 1)], 2, 2)
+        BiSeries.from_terms(Q, [(0, 0, 1)], 2, 2) / BiSeries.from_terms(
+            Q, [(1, 0, 1)], 2, 2
+        )
     with pytest.raises(TypeError):
-        BiSeries.one(Q, 1, 1) / 2
+        BiSeries.from_terms(Q, [(0, 0, 1)], 1, 1) / 2
 
 
 def test_quotient_stores_integral_rationals_as_ints():

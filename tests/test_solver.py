@@ -32,6 +32,7 @@ from implicitseries.solver import _extraction_vectors
 
 from conftest import (
     FIELDS,
+    embed_x,
     linear_fixed_point,
     make_rng,
     random_biseries,
@@ -40,6 +41,7 @@ from conftest import (
     random_root_poly,
     random_uniseries,
     random_value,
+    tail_term_count,
 )
 
 Q = RationalField()
@@ -75,7 +77,7 @@ def test_root_problem_validation():
     q = BiSeries.from_terms(Q, [(0, 1, 1), (1, 0, -1), (0, 2, -1)], 3, 3)
     assert RootProblem(q).q is q
     with pytest.raises(NonzeroConstantTermError):
-        RootProblem(BiSeries.one(Q, 3, 3))
+        RootProblem(BiSeries.from_terms(Q, [(0, 0, 1)], 3, 3))
     with pytest.raises(ZeroLinearYTermError):
         RootProblem(BiSeries.from_terms(Q, [(1, 0, 1)], 3, 3))
     with pytest.raises(ZeroLinearYTermError):
@@ -191,14 +193,14 @@ def test_extraction_whole_vector_matches_oracle():
             prob = ImplicitProblem(p)
             oracle = linear_fixed_point(prob, 8)
             plain, _ = _extraction_vectors(prob, 8)
-            wide, _ = _extraction_vectors(prob, 8, extra_m=4)
             assert plain == oracle._c
-            assert wide == plain
+            assert tail_term_count(prob, 8) == 0
 
 
 def test_extraction_sums_unchanged_by_tail_window():
-    # the truncation bound: every term with m > 2n - 1 vanishes, so sweeping
-    # past m_top adds nothing to any sum, in either form
+    # the truncation bound: every term with m > 2n - 1 vanishes, so the
+    # terms just past the sweep's m_top are all zero, in either form (the
+    # char0 sums only over Q, where that form is defined)
     rng = make_rng("extraction-tail-window")
     for field in FIELDS:
         problems = [catalan_problem(field, 6)] + [
@@ -206,13 +208,14 @@ def test_extraction_sums_unchanged_by_tail_window():
             for _ in range(6)
         ]
         for prob in problems:
-            for char0 in (False, True) if not field.characteristic else (False,):
+            oracle = linear_fixed_point(prob, 6)._c
+            for char0 in (False, True):
+                count = tail_term_count(prob, 6, char0)
+                assert count == 0, (field.tag, char0, prob.p)
+                if char0 and field.characteristic:
+                    continue
                 plain, _ = _extraction_vectors(prob, 6, char_zero_form=char0)
-                for extra_m in (1, 4):
-                    wide, _ = _extraction_vectors(
-                        prob, 6, extra_m=extra_m, char_zero_form=char0
-                    )
-                    assert wide == plain, (field.tag, char0, extra_m, prob.p)
+                assert plain == oracle, (field.tag, char0, prob.p)
 
 
 def _fractional_problems():
@@ -243,7 +246,7 @@ def test_extraction_over_q_with_a_common_denominator():
     # over Q the sweep runs on den * P in integers, den the lcm of the
     # denominators on the working box, and divides term m by den^(m+1)
     # (theorem) or m * den^m (char0): the answers are the oracle's, payload
-    # for payload, and sweeping past m_top still adds nothing
+    # for payload, and the terms past m_top are still zero
     for polynomial in (True, False):
         for p, n, den in _fractional_problems():
             work = p.resized(n, 2 * n + 3)._c
@@ -252,11 +255,8 @@ def test_extraction_over_q_with_a_common_denominator():
             oracle = linear_fixed_point(prob, n)
             for char0 in (False, True):
                 plain, _ = _extraction_vectors(prob, n, char_zero_form=char0)
-                wide, _ = _extraction_vectors(
-                    prob, n, extra_m=4, char_zero_form=char0
-                )
                 assert repr(plain) == repr(oracle._c), (p, char0)
-                assert repr(wide) == repr(plain), (p, char0)
+                assert tail_term_count(prob, n, char0) == 0, (p, char0)
                 method = "char0" if char0 else "theorem"
                 report = solve_series(prob, n, method)
                 assert report.solution == oracle and report.residual_zero
@@ -291,7 +291,7 @@ def test_per_m_term_groups_differ_but_totals_agree():
     m_top = 2 * n - 1
     p = BiSeries.from_terms(Q, [(1, 0, 1), (0, 2, 1)], n, m_top)
     work = p.resized(n, m_top)
-    d = BiSeries.one(Q, n, m_top - 1) - work.hasse_derivative(1)
+    d = BiSeries.from_terms(Q, [(0, 0, 1)], n, m_top - 1) - work.hasse_derivative(1)
     base = work.resized(n, m_top - 1)
     cur = base
     general, weighted = [], []
@@ -345,15 +345,13 @@ def test_factor_out_root_worked_example():
     f = furstenberg_solve(rp, 12)
     r = factor_out_root(rp, f)
     expected = (
-        BiSeries.one(Q, 12, 11)
-        - BiSeries.from_uniseries(f, 11)
-        - BiSeries.monomial(Q, 1, 0, 1, 12, 11)
+        BiSeries.from_terms(Q, [(0, 0, 1)], 12, 11)
+        - embed_x(f, 11)
+        - BiSeries.from_terms(Q, [(0, 1, 1)], 12, 11)
     )
     assert r == expected
     # and the product recovers Q on the box
-    y_minus_f = BiSeries.monomial(Q, 1, 0, 1, 12, 11) - BiSeries.from_uniseries(
-        f, 11
-    )
+    y_minus_f = BiSeries.from_terms(Q, [(0, 1, 1)], 12, 11) - embed_x(f, 11)
     assert (y_minus_f.resized(12, 12) * r.resized(12, 12)) == q
 
 
@@ -361,13 +359,13 @@ def test_factor_out_root_edge_cases():
     # Q = Y, root f = 0, cofactor 1
     rp = RootProblem(BiSeries.from_terms(Q, [(0, 1, 1)], 3, 3))
     r = factor_out_root(rp, UniSeries.zero(Q, 3))
-    assert r == BiSeries.one(Q, 3, 2)
+    assert r == BiSeries.from_terms(Q, [(0, 0, 1)], 3, 2)
     # Q = Y^2 - X^2 ... not a RootProblem (q01 = 0), so check pure division
     # through the public route with Q = Y - X instead
     rp2 = RootProblem(BiSeries.from_terms(Q, [(0, 1, 1), (1, 0, -1)], 3, 3))
     f2 = furstenberg_solve(rp2, 3)
     assert f2._c == [0, 1, 0, 0]
-    assert factor_out_root(rp2, f2) == BiSeries.one(Q, 3, 2)
+    assert factor_out_root(rp2, f2) == BiSeries.from_terms(Q, [(0, 0, 1)], 3, 2)
 
 
 def test_factor_out_root_rejects_non_roots():
@@ -387,9 +385,7 @@ def test_factorization_round_trip_randomized():
             rp = RootProblem(q)
             f = furstenberg_solve(rp, 8)
             r = factor_out_root(rp, f)
-            y_minus_f = BiSeries.monomial(
-                field, 1, 0, 1, 8, 7
-            ) - BiSeries.from_uniseries(f, 7)
+            y_minus_f = BiSeries.from_terms(field, [(0, 1, 1)], 8, 7) - embed_x(f, 7)
             assert (y_minus_f.resized(8, 8) * r.resized(8, 8)) == q
 
 
@@ -468,8 +464,8 @@ def test_furstenberg_non_unit_linear_term_and_large_box():
                     p = random_implicit_poly(rng, field, big, big)
                 else:
                     p = _coprime_implicit_poly(rng, big, big)
-                y = BiSeries.monomial(field, 1, 0, 1, big, big)
-                scale = BiSeries.monomial(field, q01, 0, 0, big, big)
+                y = BiSeries.from_terms(field, [(0, 1, 1)], big, big)
+                scale = BiSeries.from_terms(field, [(0, 0, q01)], big, big)
                 q = scale * (y - p)
                 f = furstenberg_solve(RootProblem(q), n_max)
                 assert f == linear_fixed_point(ImplicitProblem(p), n_max)
@@ -555,7 +551,8 @@ def test_products_over_q_store_integral_rationals_as_ints():
     assert halves.pow(2).coeff(3, 0) == 1
     p = BiSeries.from_terms(Q, [(1, 0, half), (1, 1, half), (0, 2, half)], 6, 6)
     f = solve_fixed_point(ImplicitProblem(p), 6)
-    root = furstenberg_solve(RootProblem(p - BiSeries.monomial(Q, 1, 0, 1, 6, 6)), 6)
+    y = BiSeries.from_terms(Q, [(0, 1, 1)], 6, 6)
+    root = furstenberg_solve(RootProblem(p - y), 6)
     assert root == f
     residual = taylor_residual(p, f)
     assert residual.is_zero()
