@@ -34,9 +34,9 @@ from .errors import (
     UnexpectedVariableError,
     ZeroConstantTermError,
 )
-from .expressions import lower_expression, parse_expression
+from .expressions import MAX_LITERAL_DIGITS, lower_expression, parse_expression
 from .fields import Field, PrimeField, RationalField
-from .series import BiSeries, UniSeries
+from .series import BiSeries
 from .solver import (
     ImplicitProblem,
     RootProblem,
@@ -47,6 +47,13 @@ from .solver import (
 )
 
 
+def _check_digits(text: str, error=ValueError) -> None:
+    """Raise ``error`` if ``text`` has more than ``MAX_LITERAL_DIGITS``
+    digits, before ``int()`` reads them, whatever the interpreter's limit."""
+    if sum(map(str.isdecimal, text)) > MAX_LITERAL_DIGITS:
+        raise error(f"number longer than {MAX_LITERAL_DIGITS} digits")
+
+
 def make_field(spec: str) -> Field:
     """Build the coefficient field for a ``--field`` value.
 
@@ -55,6 +62,7 @@ def make_field(spec: str) -> Field:
     if spec == "q":
         return RationalField()
     if spec.startswith("fp:"):
+        _check_digits(spec)
         try:
             modulus = int(spec[3:])
         except ValueError:
@@ -77,6 +85,7 @@ def _box_argument(text: str):
 
 
 def _nonnegative(text: str) -> int:
+    _check_digits(text, argparse.ArgumentTypeError)
     try:
         value = int(text)
     except ValueError:
@@ -133,10 +142,6 @@ def _texts(payloads) -> list:
         ]
 
 
-def _series_strings(f: UniSeries) -> list:
-    return _texts(f._c)
-
-
 def _grid_strings(p: BiSeries) -> list:
     grid = [["0"] * (p.y_order + 1) for _ in range(p.x_order + 1)]
     terms = p.nonzero_terms()
@@ -174,7 +179,7 @@ def _implicit_problem(args):
 def cmd_solve(args) -> int:
     field, prob = _implicit_problem(args)
     report = solve_series(prob, args.order, SolveMethod(args.method))
-    coeffs = _series_strings(report.solution)
+    coeffs = _texts(report.solution._c)
     return _emit(
         args, report.method.value, field, args.order, _coeff_lines(coeffs),
         coeffs=coeffs, residual_zero=report.residual_zero,
@@ -204,7 +209,7 @@ def cmd_lagrange(args) -> int:
                 )
             method = SolveMethod.CHAR0
     report = solve_series(ImplicitProblem(p), n, method)
-    coeffs = _series_strings(report.solution)
+    coeffs = _texts(report.solution._c)
     return _emit(
         args, f"lagrange-{args.variant}", field, n, _coeff_lines(coeffs),
         coeffs=coeffs, residual_zero=report.residual_zero,
@@ -226,7 +231,7 @@ def cmd_factor(args) -> int:
     rp = RootProblem(q)
     f = furstenberg_solve(rp, n)
     r = factor_out_root(rp, f)
-    fs = _series_strings(f)
+    fs = _texts(f._c)
     rs = _grid_strings(r)
     lines = [f"f {n}: {c}" for n, c in enumerate(fs)]
     lines.extend(_grid_lines(rs, prefix="R "))
@@ -251,7 +256,7 @@ def cmd_verify(args) -> int:
             continue
         print(f"error: verify failed: {failure}", file=sys.stderr)
         return 1
-    coeffs = _series_strings(baseline)
+    coeffs = _texts(baseline._c)
     names = [m.value for m in methods]
     lines = [
         "methods: " + " ".join(names),
@@ -267,7 +272,7 @@ def cmd_verify(args) -> int:
 
 def cmd_diag(args) -> int:
     field, p = _lower(args, args.poly, args.order, args.order)
-    coeffs = _series_strings(p.diagonal())
+    coeffs = _texts(p.diagonal()._c)
     return _emit(args, "diag", field, args.order, _coeff_lines(coeffs), coeffs=coeffs)
 
 

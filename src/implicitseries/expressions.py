@@ -39,7 +39,7 @@ from .errors import (
     LiteralNotInFieldError,
 )
 from .fields import Field
-from .series import BiSeries, _check_cells
+from .series import BiSeries, _binary_pow, _check_cells
 
 _SYMBOLS = set("+-*/^()")
 MAX_PAREN_DEPTH = 100
@@ -235,14 +235,7 @@ def lower_expression(code, field: Field, x_order: int, y_order: int) -> BiSeries
             if i * m > x_order or j * m > y_order:
                 return {}
             return {(i * m, j * m): pow(c, m, p) if p else c**m}
-        result = {(0, 0): 1}
-        while m:
-            if m & 1:
-                result = product(result, base)
-            m >>= 1
-            if m:
-                base = product(base, base)
-        return result
+        return _binary_pow(base, m, {(0, 0): 1}, product)
 
     values = []  # operands awaiting the operator that consumes them
     for op, arg in code:

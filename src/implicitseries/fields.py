@@ -36,6 +36,8 @@ def _is_prime(n: int) -> bool:
         d //= 2
         s += 1
     for a in _MR_WITNESSES:
+        if a % n == 0:  # n is the witness 61 itself
+            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -56,29 +58,13 @@ class Field:
     ``coerce`` (accept ints, fractions and same-field elements),
     ``invert`` and ``from_rational``; a division multiplies by the
     inverse.  The raw zero and one are the plain ints 0 and 1 for both
-    fields.
+    fields.  ``tag`` is the short name the command line and output
+    records use.
     """
 
     __slots__ = ()
 
     characteristic: int = 0
-
-    @property
-    def tag(self) -> str:
-        """Short name used by the command line and in output records."""
-        raise NotImplementedError
-
-    def normalize(self, x):
-        raise NotImplementedError
-
-    def coerce(self, x):
-        raise NotImplementedError
-
-    def invert(self, x):
-        raise NotImplementedError
-
-    def from_rational(self, num: int, den: int):
-        raise NotImplementedError
 
     def _unwrap(self, x):
         if isinstance(x, FieldElement):
@@ -104,8 +90,6 @@ class RationalField(Field):
     """
 
     __slots__ = ()
-
-    characteristic = 0
 
     @property
     def tag(self) -> str:
@@ -229,17 +213,10 @@ class FieldElement:
 
     def _binary(self, other, op, reflected=False):
         """``op`` on the payloads (swapped if ``reflected``), normalized and
-        wrapped; ``NotImplemented`` unless ``other`` is an int, a fraction
-        or an element of the same field."""
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"cannot combine elements of {self.field.tag} and {other.field.tag}"
-                )
-            v = other.value
-        elif isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        wrapped; ``NotImplemented`` where the field cannot coerce ``other``."""
+        try:
             v = self.field.coerce(other)
-        else:
+        except TypeError:
             return NotImplemented
         a, b = (v, self.value) if reflected else (self.value, v)
         return FieldElement(self.field, self.field.normalize(op(a, b)))

@@ -40,6 +40,7 @@ before allocating it.
 
 from __future__ import annotations
 
+import operator
 import sys
 from array import array
 from collections import defaultdict
@@ -77,17 +78,18 @@ def _check_cells(x_order: int, y_order: int) -> None:
         )
 
 
-def _binary_pow(base, m: int, one):
-    """``base`` to the m-th power by binary exponentiation, from ``one``."""
+def _binary_pow(base, m: int, one, mul=operator.mul):
+    """``base`` to the m-th power by binary exponentiation with the
+    multiply ``mul``, from ``one``."""
     if m < 0:
         raise ValueError("exponent must be >= 0")
     result = one
     while m:
         if m & 1:
-            result = result * base
+            result = mul(result, base)
         m >>= 1
         if m:
-            base = base * base
+            base = mul(base, base)
     return result
 
 
@@ -460,24 +462,11 @@ class BiSeries(_Series):
 
     The coefficient of ``X^i Y^j``, for ``i <= x_order`` and
     ``j <= y_order``, is ``_c[i * _w + j]`` with ``_w = y_order + 1``.
-    The constructor takes the box as rows: ``rows[i][j]`` is that
-    coefficient.
+    ``zero`` and ``from_terms`` build one.
     """
 
     __slots__ = ()
     _SHAPES = "boxes"
-
-    def __init__(self, field: Field, rows):
-        grid = [[field.coerce(c) for c in row] for row in rows]
-        if not grid or not grid[0]:
-            raise ValueError("the grid stores at least the constant coefficient")
-        width = len(grid[0])
-        if any(len(row) != width for row in grid):
-            raise ValueError("all grid rows must have equal length")
-        self.field = field
-        self._c = [c for row in grid for c in row]
-        self._w = width
-        self._nz = None
 
     @classmethod
     def zero(cls, field: Field, x_order: int, y_order: int) -> "BiSeries":

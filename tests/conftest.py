@@ -6,6 +6,7 @@ label alone.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 from implicitseries import BiSeries, PrimeField, RationalField, UniSeries
@@ -43,6 +44,19 @@ def random_nonzero_value(rng, field):
     return num
 
 
+def with_and_without_int_digit_limit(check):
+    """Run ``check`` at the interpreter's limit on int digits, then with the
+    limit lifted (0), where the interpreter has one."""
+    check()
+    if hasattr(sys, "set_int_max_str_digits"):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            check()
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+
 def random_uniseries(rng, field, order, zero_constant=False):
     coeffs = [random_value(rng, field) for _ in range(order + 1)]
     if zero_constant:
@@ -51,11 +65,12 @@ def random_uniseries(rng, field, order, zero_constant=False):
 
 
 def random_biseries(rng, field, x_order, y_order):
-    rows = [
-        [random_value(rng, field) for _ in range(y_order + 1)]
-        for _ in range(x_order + 1)
+    terms = [
+        (i, j, random_value(rng, field))
+        for i in range(x_order + 1)
+        for j in range(y_order + 1)
     ]
-    return BiSeries(field, rows)
+    return BiSeries.from_terms(field, terms, x_order, y_order)
 
 
 def random_implicit_poly(rng, field, x_order, y_order, max_degree=4, n_terms=3):

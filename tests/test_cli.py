@@ -22,6 +22,7 @@ from conftest import (
     make_rng,
     random_nonzero_value,
     random_value,
+    with_and_without_int_digit_limit,
 )
 
 
@@ -416,6 +417,53 @@ def test_composite_modulus_exits_1(capsys):
     )
     assert code == 1
     assert err == "error: modulus 4 is not prime\n"
+
+
+def test_modulus_61_solves(capsys):
+    # 61 is one of the Miller-Rabin witnesses, and prime
+    code, out, err = run_cli(
+        capsys, "solve", "--field", "fp:61", "--poly", "X + Y^2", "--order", "6"
+    )
+    assert code == 0 and err == ""
+    assert out == "0: 0\n1: 1\n2: 1\n3: 2\n4: 5\n5: 14\n6: 42\n"
+
+
+_LONG_NUMBER = "1" + "0" * 4400
+
+
+def _option_refused(capsys, argv, option):
+    def check():
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            f"error: argument {option}: number longer than 4300 digits"
+        )
+
+    with_and_without_int_digit_limit(check)
+
+
+def test_order_longer_than_4300_digits_exits_2(capsys):
+    argv = ["solve", "--field", "q", "--poly", "X + Y^2", "--order", _LONG_NUMBER]
+    _option_refused(capsys, argv, "--order")
+
+
+def test_m_longer_than_4300_digits_exits_2(capsys):
+    argv = ["hasse", "--field", "q", "--poly", "X", "--box", "2x2", "--m", _LONG_NUMBER]
+    _option_refused(capsys, argv, "--m")
+
+
+def test_modulus_longer_than_4300_digits_exits_1(capsys):
+    def check():
+        field = "fp:" + _LONG_NUMBER
+        code, out, err = run_cli(
+            capsys, "solve", "--field", field, "--poly", "X", "--order", "1"
+        )
+        assert code == 1 and out == ""
+        assert err == "error: number longer than 4300 digits\n"
+
+    with_and_without_int_digit_limit(check)
 
 
 @pytest.mark.parametrize(

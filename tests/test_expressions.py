@@ -3,7 +3,6 @@
 import hashlib
 import itertools
 import operator
-import sys
 from fractions import Fraction
 
 import pytest
@@ -26,7 +25,7 @@ from implicitseries import (
 from implicitseries.expressions import MAX_CONSTANT_POWER_BITS, MAX_LITERAL_DIGITS
 from implicitseries.series import MAX_BOX_CELLS
 
-from conftest import FIELDS, make_rng
+from conftest import FIELDS, make_rng, with_and_without_int_digit_limit
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -441,12 +440,5 @@ def test_literals_longer_than_4300_digits_refused():
             message = f"number longer than 4300 digits (byte offset {offset})"
             assert str(e.value) == message and e.value.offset == offset
 
-    all_refused()
-    if hasattr(sys, "set_int_max_str_digits"):
-        saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            all_refused()
-        finally:
-            sys.set_int_max_str_digits(saved)
+    with_and_without_int_digit_limit(all_refused)
 

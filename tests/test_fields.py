@@ -1,6 +1,7 @@
 """Field arithmetic: construction guards, axioms, the integer ring map."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -11,6 +12,7 @@ from implicitseries import (
     PrimeField,
     RationalField,
 )
+from implicitseries.fields import _is_prime
 
 from conftest import FIELDS, make_rng, random_value
 
@@ -53,6 +55,16 @@ def test_prime_field_construction_guards():
         PrimeField(2**31 + 11)
     # the largest allowed modulus, a Mersenne prime
     assert PrimeField(2**31 - 1).characteristic == 2**31 - 1
+    # the square of a prime above the trial divisors, below 2**31: only the
+    # Miller-Rabin witnesses refuse it
+    with pytest.raises(ValueError, match="^modulus 2147117569 is not prime$"):
+        PrimeField(46337**2)
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(20000):
+        trial = n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+        assert _is_prime(n) == trial, n
 
 
 def test_integer_ring_map():
@@ -137,10 +149,12 @@ def test_prime_field_coerces_fractions():
 def test_cross_field_mixing_rejected():
     q = RationalField()
     f5 = PrimeField(5)
-    with pytest.raises(FieldMismatchError):
+    with pytest.raises(FieldMismatchError) as e:
         FieldElement(q, q.coerce(1)) + FieldElement(f5, f5.coerce(1))
-    with pytest.raises(FieldMismatchError):
+    assert str(e.value) == "element of fp:5 used where q is required"
+    with pytest.raises(FieldMismatchError) as e:
         FieldElement(f5, f5.coerce(2)) * 2 + FieldElement(q, q.coerce(1))
+    assert str(e.value) == "element of q used where fp:5 is required"
     assert FieldElement(q, q.coerce(1)) != FieldElement(f5, f5.coerce(1))
     other_f5 = PrimeField(5)
     assert FieldElement(f5, f5.coerce(2)) == FieldElement(other_f5, other_f5.coerce(7))

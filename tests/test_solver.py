@@ -177,8 +177,16 @@ def test_extraction_char0_examples():
 def test_extraction_truncated_input_needs_box():
     p = BiSeries.from_terms(Q, [(1, 0, 1), (0, 2, 1)], 4, 5)
     prob = ImplicitProblem(p, is_polynomial=False)
+    for method in ("theorem", "char0"):
+        with pytest.raises(InsufficientTruncationError):
+            solve_series(prob, 4, method)  # needs y_order 7
+    # furstenberg needs the box (4, 4)
+    narrow = ImplicitProblem(
+        BiSeries.from_terms(Q, [(1, 0, 1), (0, 2, 1)], 4, 3), is_polynomial=False
+    )
     with pytest.raises(InsufficientTruncationError):
-        solve_series(prob, 4, "theorem")  # needs y_order 7
+        solve_series(narrow, 4, "furstenberg")
+    assert solve_series(prob, 4, "furstenberg").solution.coeff(4) == 5
     wide = ImplicitProblem(
         BiSeries.from_terms(Q, [(1, 0, 1), (0, 2, 1)], 4, 7), is_polynomial=False
     )
@@ -375,6 +383,10 @@ def test_factor_out_root_rejects_non_roots():
         factor_out_root(rp, UniSeries(Q, [0, 1, 0, 0, 0, 0, 0]))  # f = X is wrong
     with pytest.raises(NonzeroConstantTermError):
         factor_out_root(rp, UniSeries(Q, [1, 0, 0, 0, 0, 0, 0]))
+    # a root over another field
+    f5_root = UniSeries(PrimeField(5), [0, 1, 1, 2, 0, 2, 2])
+    with pytest.raises(FieldMismatchError, match="^root over fp:5 for a polynomial"):
+        factor_out_root(rp, f5_root)
 
 
 def test_factorization_round_trip_randomized():
