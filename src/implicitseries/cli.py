@@ -75,10 +75,7 @@ def make_field(spec: str) -> Field:
 def _box_argument(text: str):
     parts = text.split("x") if "x" in text else text.split(",")
     if len(parts) == 2 and all(p.strip().isdecimal() for p in parts):
-        try:
-            return int(parts[0]), int(parts[1])
-        except ValueError:  # a part beyond int()'s digit limit
-            pass
+        return _nonnegative(parts[0]), _nonnegative(parts[1])
     raise argparse.ArgumentTypeError(
         f"expected a box like 4x3 (x-order by y-order), got {text!r}"
     )
@@ -91,7 +88,9 @@ def _nonnegative(text: str) -> int:
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     if value < 0:
-        raise argparse.ArgumentTypeError("order must be >= 0")
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}"
+        )
     return value
 
 

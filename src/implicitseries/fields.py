@@ -19,25 +19,24 @@ from .errors import FieldMismatchError, LiteralNotInFieldError
 
 MAX_MODULUS = 2**31
 
-# Deterministic Miller-Rabin witnesses, sufficient for every n < 4759123141
-# and therefore for the whole supported modulus range.
+# Deterministic Miller-Rabin witnesses: for an n coprime to all three the
+# test is exact below 4759123141 (Jaeschke, Math. Comp. 61, 1993), so for the
+# whole supported modulus range.
 _MR_WITNESSES = (2, 7, 61)
 
 
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
+    for a in _MR_WITNESSES:  # a multiple of a witness is prime only as itself
+        if n % a == 0:
+            return n == a
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
     for a in _MR_WITNESSES:
-        if a % n == 0:  # n is the witness 61 itself
-            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -55,7 +54,7 @@ class Field:
 
     Subclasses provide the raw-payload protocol used throughout the
     series layer: ``normalize`` (canonicalize after accumulation),
-    ``coerce`` (accept ints, fractions and same-field elements),
+    ``_embed`` (the image of an int or a fraction, for ``coerce``),
     ``invert`` and ``from_rational``; a division multiplies by the
     inverse.  The raw zero and one are the plain ints 0 and 1 for both
     fields.  ``tag`` is the short name the command line and output
@@ -66,14 +65,18 @@ class Field:
 
     characteristic: int = 0
 
-    def _unwrap(self, x):
+    def coerce(self, x):
+        """The payload of ``x``: an int, a ``Fraction`` or an element of
+        this field."""
         if isinstance(x, FieldElement):
             if x.field != self:
                 raise FieldMismatchError(
                     f"element of {x.field.tag} used where {self.tag} is required"
                 )
             return x.value
-        return None
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise TypeError(f"cannot use {type(x).__name__} as a {self.tag} value")
+        return self._embed(x)
 
 
 def _demote(f: Fraction):
@@ -111,17 +114,7 @@ class RationalField(Field):
             return x.numerator
         return x
 
-    def coerce(self, x):
-        unwrapped = self._unwrap(x)
-        if unwrapped is not None:
-            return unwrapped
-        if isinstance(x, bool):
-            raise TypeError("bool is not a rational value")
-        if isinstance(x, int):
-            return x
-        if isinstance(x, Fraction):
-            return _demote(x)
-        raise TypeError(f"cannot use {type(x).__name__} as a rational value")
+    _embed = normalize
 
     def invert(self, x):
         if x == 0:
@@ -172,17 +165,10 @@ class PrimeField(Field):
     def normalize(self, x):
         return x % self.modulus
 
-    def coerce(self, x):
-        unwrapped = self._unwrap(x)
-        if unwrapped is not None:
-            return unwrapped
-        if isinstance(x, bool):
-            raise TypeError("bool is not a field value")
+    def _embed(self, x):
         if isinstance(x, int):
             return x % self.modulus
-        if isinstance(x, Fraction):
-            return self.from_rational(x.numerator, x.denominator)
-        raise TypeError(f"cannot use {type(x).__name__} as a GF({self.modulus}) value")
+        return self.from_rational(x.numerator, x.denominator)
 
     def invert(self, x):
         x %= self.modulus
@@ -253,11 +239,12 @@ class FieldElement:
         return self
 
     def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return other.field == self.field and other.value == self.value
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if isinstance(other, FieldElement) and other.field != self.field:
+            return False
+        try:
             return self.value == self.field.coerce(other)
-        return NotImplemented
+        except TypeError:
+            return NotImplemented
 
     def __hash__(self):
         return hash((self.field, self.value))

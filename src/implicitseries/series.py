@@ -72,10 +72,14 @@ def _check_cells(x_order: int, y_order: int) -> None:
     than ``MAX_BOX_CELLS`` cells."""
     cells = (x_order + 1) * (y_order + 1)
     if cells > MAX_BOX_CELLS:
-        raise BoxTooLargeError(
-            f"a truncation box of ({x_order}, {y_order}) holds {cells} cells, "
-            f"more than {MAX_BOX_CELLS}"
-        )
+        try:
+            message = (
+                f"a truncation box of ({x_order}, {y_order}) holds {cells} cells, "
+                f"more than {MAX_BOX_CELLS}"
+            )
+        except ValueError:  # sizes beyond the interpreter's limit on digits
+            message = f"a truncation box holds more than {MAX_BOX_CELLS} cells"
+        raise BoxTooLargeError(message)
 
 
 def _binary_pow(base, m: int, one, mul=operator.mul):

@@ -9,7 +9,13 @@ import random
 import sys
 from fractions import Fraction
 
-from implicitseries import BiSeries, PrimeField, RationalField, UniSeries
+from implicitseries import (
+    BiSeries,
+    ImplicitProblem,
+    PrimeField,
+    RationalField,
+    UniSeries,
+)
 from implicitseries.solver import _require_box
 
 FIELDS = [
@@ -71,6 +77,15 @@ def random_biseries(rng, field, x_order, y_order):
         for j in range(y_order + 1)
     ]
     return BiSeries.from_terms(field, terms, x_order, y_order)
+
+
+def catalan_problem(field, n_max: int) -> ImplicitProblem:
+    """f = X + f^2, whose coefficients are the Catalan numbers, on the box
+    the solvers need at order ``n_max``."""
+    p = BiSeries.from_terms(
+        field, [(1, 0, 1), (0, 2, 1)], n_max, max(1, 2 * n_max - 1)
+    )
+    return ImplicitProblem(p)
 
 
 def random_implicit_poly(rng, field, x_order, y_order, max_degree=4, n_terms=3):

@@ -30,6 +30,7 @@ from implicitseries.solver import _extraction_vectors
 
 from conftest import (
     FIELDS,
+    catalan_problem,
     embed_x,
     lagrange_oracle,
     make_rng,
@@ -58,13 +59,6 @@ def criterion(capsys, name):
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         print(f"acceptance {name}: pass ({elapsed:.2f}s)")
-
-
-def catalan_problem(field, n_max):
-    p = BiSeries.from_terms(
-        field, [(1, 0, 1), (0, 2, 1)], n_max, max(1, 2 * n_max - 1)
-    )
-    return ImplicitProblem(p)
 
 
 # ---------------------------------------------------------------------------

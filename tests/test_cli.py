@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -136,9 +137,11 @@ def test_malformed_box_exits_2(capsys):
 
 
 def test_box_part_longer_than_4300_digits_exits_2(capsys):
-    # int() refuses it: the message is still the box one, not argparse's
-    # "invalid _box_argument value"
-    _box_refused(capsys, "1" + "0" * 4400 + "x1")
+    # each part is read as --order and --m are, so the message names the
+    # digit cap instead of echoing every digit
+    box = _LONG_NUMBER + "x1"
+    argv = ["hasse", "--field", "q", "--poly", "X", "--box", box, "--m", "0"]
+    _option_refused(capsys, argv, "--box")
 
 
 def test_factor_plain(capsys):
@@ -452,6 +455,44 @@ def test_order_longer_than_4300_digits_exits_2(capsys):
 def test_m_longer_than_4300_digits_exits_2(capsys):
     argv = ["hasse", "--field", "q", "--poly", "X", "--box", "2x2", "--m", _LONG_NUMBER]
     _option_refused(capsys, argv, "--m")
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["solve", "--field", "q", "--poly", "X", "--order"], "--order", "abc"),
+        (["solve", "--field", "q", "--poly", "X", "--order"], "--order", "-1"),
+        (["hasse", "--field", "q", "--poly", "X", "--box", "2x2", "--m"], "--m", "-1"),
+    ],
+    ids=["order-abc", "order-negative", "m-negative"],
+)
+def test_option_not_a_nonnegative_integer_exits_2(capsys, argv, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    kind = "an integer" if value == "abc" else "a nonnegative integer"
+    assert captured.err.splitlines()[-1].endswith(
+        f"error: argument {option}: expected {kind}, got {value!r}"
+    )
+
+
+def test_order_of_2151_digits_gets_the_box_message(capsys):
+    # the box (10^2150, 2*10^2150 - 1) holds a cell count of 4301 digits,
+    # one more than str() prints by default: the message then names only the cap
+    def check():
+        code, out, err = run_cli(
+            capsys, "solve", "--field", "q", "--poly", "X + Y^2", "--order",
+            "1" + "0" * 2150,
+        )
+        assert code == 1 and out == ""
+        assert re.fullmatch(
+            r"error: a truncation box (of \(\d+, \d+\) holds \d+ cells, "
+            r"more than 4194304|holds more than 4194304 cells)\n",
+            err,
+        )
+
+    with_and_without_int_digit_limit(check)
 
 
 def test_modulus_longer_than_4300_digits_exits_1(capsys):

@@ -53,10 +53,12 @@ def test_prime_field_construction_guards():
         PrimeField(2**31)  # prime bound is exclusive
     with pytest.raises(ValueError):
         PrimeField(2**31 + 11)
+    with pytest.raises(TypeError, match="^modulus must be an int$"):
+        PrimeField("7")
     # the largest allowed modulus, a Mersenne prime
     assert PrimeField(2**31 - 1).characteristic == 2**31 - 1
-    # the square of a prime above the trial divisors, below 2**31: only the
-    # Miller-Rabin witnesses refuse it
+    # the square of a prime coprime to the witnesses, below 2**31: only
+    # their Miller-Rabin rounds refuse it
     with pytest.raises(ValueError, match="^modulus 2147117569 is not prime$"):
         PrimeField(46337**2)
 
@@ -74,10 +76,12 @@ def test_integer_ring_map():
         if field.characteristic:
             assert field.coerce(field.characteristic) == 0
             assert field.coerce(-1) == field.characteristic - 1
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^cannot use float as a q value$"):
         RationalField().coerce(1.5)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^cannot use bool as a q value$"):
         RationalField().coerce(True)
+    with pytest.raises(TypeError, match="^cannot use str as a fp:7 value$"):
+        PrimeField(7).coerce("3")
 
 
 def test_ring_map_is_homomorphism():
@@ -166,6 +170,8 @@ def test_element_python_protocol():
     assert 1 + a == 4 and 1 - a == 3 and 2 * a == 1 and 1 / a == 2
     assert bool(a) and not bool(FieldElement(f5, f5.coerce(0)))
     assert repr(a) == "FieldElement(fp:5, 3)"
+    assert +a is a
+    assert a == 8 and a == Fraction(6, 2) and a != "3" and a != 3.0
     other_f5 = PrimeField(5)
     assert hash(FieldElement(f5, f5.coerce(2))) == hash(
         FieldElement(other_f5, other_f5.coerce(7))
@@ -183,3 +189,5 @@ def test_field_equality_and_hash():
     assert RationalField() != PrimeField(5)
     assert hash(PrimeField(5)) == hash(PrimeField(5))
     assert len({RationalField(), RationalField(), PrimeField(3)}) == 2
+    assert repr(RationalField()) == "RationalField()"
+    assert repr(PrimeField(5)) == "PrimeField(5)"

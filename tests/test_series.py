@@ -61,10 +61,15 @@ def test_uniseries_truncation_is_part_of_value():
         a + UniSeries(PrimeField(5), [1, 2])
     with pytest.raises(TypeError):
         a + 1
+    assert a != 3 and not a == 3
     with pytest.raises(IndexOutOfTruncationError):
         a.coeff(2)
     with pytest.raises(ValueError):
         UniSeries(Q, [])
+    with pytest.raises(ValueError, match="^order must be >= 0$"):
+        UniSeries.zero(Q, -1)
+    with pytest.raises(ValueError, match="^order must be >= 0$"):
+        a.resized(-1)
     with pytest.raises(ValueError):
         a.pow(-1)
 
@@ -169,6 +174,8 @@ def test_boxes_beyond_max_box_cells_refused():
         lambda: BiSeries.zero(Q, 0, cap),
         lambda: BiSeries.from_terms(Q, [(1, 0, 1)], cap, 1),
         lambda: BiSeries.from_terms(Q, [(0, 0, 1)], 1, 1).resized(4096, 1023),
+        # a cell count of 6001 digits, beyond what str() prints by default
+        lambda: BiSeries.zero(Q, 10**3000, 2 * 10**3000 - 1),
     ]
     for make in refused:
         with pytest.raises(BoxTooLargeError, match=f"more than {cap}"):
@@ -189,6 +196,8 @@ def test_biseries_resized_and_shape_checks():
         p + BiSeries.zero(PrimeField(3), 2, 2)
     with pytest.raises(TypeError):
         p * UniSeries(Q, [1])
+    with pytest.raises(ValueError, match="^orders must be >= 0$"):
+        BiSeries.zero(Q, -1, 0)
 
 
 def _sparse_terms(rng, field, nx, ny, count):

@@ -32,6 +32,7 @@ from implicitseries.solver import _extraction_vectors
 
 from conftest import (
     FIELDS,
+    catalan_problem,
     embed_x,
     linear_fixed_point,
     make_rng,
@@ -51,13 +52,6 @@ F2 = PrimeField(2)
 def catalan(n: int) -> int:
     """C_{n-1} for n >= 1: the reference count for f = X + f^2."""
     return math.comb(2 * n - 2, n - 1) // n
-
-
-def catalan_problem(field, n_max: int) -> ImplicitProblem:
-    p = BiSeries.from_terms(
-        field, [(1, 0, 1), (0, 2, 1)], n_max, max(1, 2 * n_max - 1)
-    )
-    return ImplicitProblem(p)
 
 
 # --------------------------------------------------------------- validation
@@ -112,6 +106,8 @@ def test_fixed_point_truncated_input_needs_box():
         solve_fixed_point(prob, 5)
     # the same data declared polynomial extends freely
     assert solve_fixed_point(ImplicitProblem(p), 5)._c == [0, 1, 1, 2, 5, 14]
+    with pytest.raises(ValueError, match="^n_max must be >= 0$"):
+        solve_fixed_point(prob, -1)
 
 
 def newton_problem(rng, field, n_max, y_degree):
