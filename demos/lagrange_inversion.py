@@ -15,7 +15,8 @@ on P = X * phi(Y), where P^m = X^m phi^m and 1 - P_Y = 1 - X phi'.  The
 theorem's sum of [X^n Y^(m-1)] (1 - P_Y) * P^m keeps m = n, which gives
 [Y^(n-1)] phi^n, and m = n - 1, which gives the correction: the
 division-free form.  The char0 sum of [X^n Y^(m-1)] P^m / m keeps m = n
-alone: the classical form.  Here phi = (1+Y)^2, whose inversion counts
+alone: the classical form, which char0 computes for all n at once as one
+exact quotient, the log-derivative of 1 / (1 - P(ZY, Y)/Y) in Z.  Here phi = (1+Y)^2, whose inversion counts
 plane trees by edges: [X^n] f = binom(2n, n-1) / n.
 """
 

@@ -74,8 +74,12 @@ def make_field(spec: str) -> Field:
 
 def _box_argument(text: str):
     parts = text.split("x") if "x" in text else text.split(",")
-    if len(parts) == 2 and all(p.strip().isdecimal() for p in parts):
-        return _nonnegative(parts[0]), _nonnegative(parts[1])
+    try:
+        if len(parts) == 2:
+            return _nonnegative(parts[0]), _nonnegative(parts[1])
+    except argparse.ArgumentTypeError as exc:
+        if not str(exc).startswith("expected"):
+            raise  # the digit cap's own message
     raise argparse.ArgumentTypeError(
         f"expected a box like 4x3 (x-order by y-order), got {text!r}"
     )

@@ -10,33 +10,35 @@ coefficients plus the surrounding machinery:
   substitution iteration f <- P(X, f), the ground truth all four
   methods are tested against, lives in the tests.
 * ``theorem``: [X^n] f as a finite sum over m of the coefficient of
-  X^n Y^(m-1) in (1 - dP/dY) * P^m.  Works over any field; the sum
-  stops at m = 2n - 1, or at m = n when every term of P carries X.
-* ``char0``: the characteristic-zero variant that weights the m-th
-  term by 1/m and drops the derivative factor.
+  X^n Y^(m-1) in D * P^m, D = 1 - dP/dY, for m up to 2n - 1.  Works over
+  any field.
+* ``char0``: the characteristic-zero variant (Flajolet and Soria) that
+  weights the m-th term by 1/m and drops the derivative factor.
 * ``furstenberg`` (``furstenberg_solve``): reads the root of
-  Q(X, Y) = 0 off the main diagonal of a rational bivariate series,
-  after the substitution X -> X*Y; the diagonal entries come from one
-  exact quotient (``BiSeries`` ``/``) on the box (n, n - 1).
+  Q(X, Y) = 0 off the main diagonal of a rational bivariate series.
+
+The last three work in the frame X = Z*Y (Furstenberg, J. Algebra 7,
+1967).  There X^i Y^j of P becomes Z^i Y^(i+j-1) of Ph = P(ZY, Y) / Y,
+and with Dh = D(ZY, Y),
+
+    [X^n Y^(m-1)] D * P^m  =  [Z^n Y^(n-1)] Dh * Ph^m      for every m,
+
+so only the terms of P with i + j <= n reach [X^n] f (``_frame_terms``).
+``theorem`` expands the sum term by term, one product per m; ``char0``
+sums its 1/m-weighted series as one quotient Ph_Z / (1 - Ph);
+``furstenberg`` divides Dh by the same unit.  So ``verify`` still pits an
+expansion against two quotients, and ``fixpoint`` and the residual check
+that ``solve_series`` makes share no frame code.
 
 On P = X * phi(Y) the two sums are Lagrange inversion: theorem's is
 [Y^(n-1)] phi^n - [Y^(n-2)] phi' * phi^(n-1), in any characteristic, and
 char0's is (1/n) [Y^(n-1)] phi^n.
 
-Over Q both extraction sweeps run in integers: with d the lcm of the
-denominators of P on the working box, d * P is integral, and the m-th
-term is the extraction from (d - d * dP/dY) * (d * P)^m divided by
-d^(m+1) (theorem), or from (d * P)^m divided by m * d^m (char0).  So
-the products see no ``Fraction`` and skip the gcd per cell, leaving one
-rational operation per nonzero (n, m) term; for integral P, d = 1 and the
-sweep is the plain one.  ``furstenberg`` divides integers the same way,
-by the substitution in ``furstenberg_solve``.  Every other product over
-Q (Newton's substitutions, the residual check, ``factor_out_root``)
-multiplies integers over one common denominator inside the series
-layer.  The exact quotient ``/`` stays on ``Fraction``s: Newton's
-divisor 1 - P_Y(X, f) has denominators that grow with the order, so
-scaling it to integers costs more than it saves; only furstenberg's
-divisor keeps the fixed denominators of P.
+Over Q the frame runs on integers over the lcm of P's denominators,
+with one ``Fraction`` per coefficient of the answer.  Every other product
+over Q multiplies integers over one common denominator inside the series
+layer; Newton's quotient stays on ``Fraction``s, as its divisor's
+denominators grow with the order.
 
 ``solve_series`` is the single entry point that runs any of them on an
 ``ImplicitProblem`` and re-substitutes the result into its equation;
@@ -131,8 +133,8 @@ class RootProblem:
 class SolveReport:
     """Outcome of ``solve_series``.
 
-    ``m_terms_used`` lists the m-range summed by the extraction
-    methods (empty for the others); ``residual_zero`` records the
+    ``m_terms_used`` lists the m-range the theorem's sweep summed
+    (empty for the others, char0 included); ``residual_zero`` records the
     literal re-substitution check of the solution.
     """
 
@@ -192,88 +194,65 @@ def solve_fixed_point(prob: ImplicitProblem, n_max: int) -> UniSeries:
     return f
 
 
-def _extraction_vectors(prob, n_max, char_zero_form=False):
-    """Shared sweep behind the extraction formulas.
+def _frame_terms(series: BiSeries, n_max: int):
+    """``(e, terms)``: each nonzero X^i Y^j of ``series`` with
+    i + j <= n_max as ``(i, i + j - 1, v)``, its cell in series(ZY, Y) / Y.
+    Over Q, ``v = e * c`` are integers over the lcm ``e`` of their
+    denominators; over GF(p), ``e = 1`` and ``v = c``."""
+    terms = [t for t in series.nonzero_terms() if t[0] + t[1] <= n_max]
+    values = [c for _, _, c in terms]
+    e = 1
+    if not series.field.characteristic:
+        e, values = _integral(values)
+    return e, [(i, i + j - 1, v) for (i, j, _), v in zip(terms, values)]
 
-    Each m adds the coefficients of X^n Y^(m-1) in D * P^m, for
-    D = 1 - dP/dY (theorem) or D = 1 with weight 1/m (char0), into one
-    sum per n.  Returns ``(sums, m_stop)``: ``sums[n]`` as a raw payload,
-    and ``m_stop``, the largest m actually accumulated.  Every factor of
-    P^m brings an X or a Y^2, so the terms with m > 2n - 1 vanish and
-    the sweep runs to m_top = 2 n_max - 1; the tests check that bound
-    with an oracle of their own, which forms D * P^m just past it.  P^m
-    is maintained as a running product and the sweep stops early once
-    the power vanishes on the working box (all later terms are then
-    identically zero).  When every term of P carries X, P^m has no term
-    below X^m, so the sweep stops at m = n_max and its box is
-    (n_max, n_max - 1), not (n_max, 2 n_max - 2).
 
-    Over Q, with ``den`` the lcm of the denominators on the working box,
-    the sweep multiplies the integral ``den * P`` instead, with
-    ``den - den * dP/dY`` for D, and weights term m by 1/den^(m+1)
-    (theorem) or 1/(m * den^m) (char0); the weight is the only rational
-    factor, applied once per nonzero coefficient of a term.  ``den = 1``
-    (every integral P, and GF(p), where den is not taken) leaves P, D
-    and the weights 1 and 1/m as they are.
+def _extraction_vectors(prob, n_max):
+    """The theorem's sweep: ``[X^n] f = sum_m [X^n Y^(m-1)] D * P^m``.
+
+    Term m is the cell (n, n - 1) of Dh * Ph^m, for every n at once, so the
+    running power Ph^m lives on the box (n_max, n_max - 1).  Returns
+    ``(sums, m_stop)``: ``sums[n]`` as a raw payload, and ``m_stop``, the
+    largest m accumulated.  The cell (n, n - 1) has total degree 2n - 1 and
+    every term of Ph at least 1, so the sweep runs to m = 2 n_max - 1, or
+    until the power vanishes on the box, as all later terms then do.
+
+    Over Q the sweep multiplies ``den * Ph`` in integers (``_frame_terms``),
+    with ``den - den * dP/dY`` for D, and weights term m by 1/den^(m+1).
+    ``solve_series`` reports ``range(1, m_stop + 1)`` as the theorem's
+    ``m_terms_used``; char0, one quotient, reports ``()``.
     """
     field = prob.field
-    p = prob.p
     sums = [0] * (n_max + 1)
     if n_max == 0:
         return sums, 0
-    if not prob.is_polynomial:
-        _require_box(p, n_max, 2 * n_max - 1)
-    m_top = 2 * n_max - 1
-    # columns up to m_top - 1 feed the extractions; the derivative
-    # factor additionally reads P's column m_top
-    terms = [t for t in p.nonzero_terms() if t[0] <= n_max and t[1] <= m_top]
-    if all(i for i, _, _ in terms):
-        # every term carries X, so P^m vanishes on the box for m > n_max
-        m_top = n_max
-        terms = [t for t in terms if t[1] <= m_top]
-    # over Q, scale P to the integral den * P (see above)
-    den = 1
-    if not field.characteristic:
-        den, ints = _integral([c for _, _, c in terms])
-        terms = [(i, j, v) for (i, j, _), v in zip(terms, ints)]
+    den, terms = _frame_terms(prob.p, n_max)
     norm = field.normalize
-    if char_zero_form:
-        d = [(0, 0, 1)]  # no derivative factor; weight 1/m instead
-    else:
-        # den - (den * P)_Y, where X^i Y^j of den * P gives -j X^i Y^(j-1);
-        # no two terms share a cell, as P has no lone Y term
-        d = [(0, 0, den)] + [
-            (i, j - 1, v) for i, j, c in terms if j and (v := norm(-j * c))
-        ]
-    # D by powers of Y: b -> [(a, c), ...] for its terms c X^a Y^b, a rising
-    d_cols = {}
-    for a, b, c in sorted(d):
-        d_cols.setdefault(b, []).append((a, c))
-    factor = BiSeries.from_terms(
-        field, [t for t in terms if t[1] < m_top], n_max, m_top - 1
-    )
-    # the inner loop reads each power's flat row-major list directly, for
-    # speed: X^i Y^j sits at i * width + j
-    width = factor._w
+    # X^i Y^j of den * P gives -j v X^i Y^(j-1) of D, so Dh has -j v at the
+    # cell (i, k) of Ph, j = k - i + 1; no two terms share a cell
+    d = [(0, 0, den)] + [
+        (i, k, c) for i, k, v in terms if k >= i and (c := norm((i - k - 1) * v))
+    ]
+    # Dh's term (a, b) meets the cell (r, r + a - b - 1) of the power for
+    # the cell (k, k - 1), k = r + a <= n_max, of the product: in the power's
+    # flat row-major list (width n_max) one slice of stride n_max + 1
+    step = n_max + 1
+    reads = []
+    for a, b, c in d:
+        r0 = max(0, b + 1 - a)
+        reads.append((r0 * step + a - b - 1, (n_max - a) * step + a - b, r0 + a, c))
+    factor = BiSeries.from_terms(field, terms, n_max, n_max - 1)
     cur = factor
-    m_stop = m_top
+    m_top = m_stop = 2 * n_max - 1
     for m in range(1, m_top + 1):
-        col = m - 1
-        if char_zero_form:
-            w = Fraction(1, m * den**m)
-        else:
-            w = Fraction(1, den ** (m + 1)) if den > 1 else 1
+        w = Fraction(1, den ** (m + 1)) if den > 1 else 1
         flat = cur._c
         acc = [0] * (n_max + 1)  # the term of m for each n, before weighting
-        for b, col_terms in d_cols.items():
-            if b <= col:
-                # X^r Y^(col-b) of the power; compress skips its zeros in C
-                column = flat[col - b :: width]
-                for r, v in compress(enumerate(column), column):
-                    for a, c in col_terms:
-                        if r + a > n_max:
-                            break
-                        acc[r + a] += c * v
+        for start, stop, k0, c in reads:
+            cells = flat[start:stop:step]
+            # compress skips the power's zeros in C
+            for k, v in compress(enumerate(cells, k0), cells):
+                acc[k] += c * v
         for n in compress(range(n_max + 1), acc):
             sums[n] += w * acc[n]
         if m < m_top:
@@ -282,6 +261,35 @@ def _extraction_vectors(prob, n_max, char_zero_form=False):
                 m_stop = m
                 break  # all later powers vanish on the box too
     return [norm(v) for v in sums], m_stop
+
+
+def _char_zero_quotient(prob, n_max):
+    """char0's sum ``[X^n] f = sum_m [X^n Y^(m-1)] P^m / m`` as one quotient.
+
+    In the frame the sum is [Z^n Y^(n-1)] of -log(1 - Ph), so
+    ``[X^n] f = (1/n) [Z^(n-1) Y^(n-1)] Ph_Z / (1 - Ph)``: one exact quotient
+    on the box (n_max - 1, n_max - 1), with the answer on its diagonal.
+    Over Q, with ``e`` from ``_frame_terms``, Z -> e Z and Y -> e Y make the
+    unit ``U = 1 - Ph(eZ, eY)`` and the numerator ``N = e Ph_Z(eZ, eY)``
+    integral, term by term (X^i Y^j gains e^(2i+j-2) on ``v = e * c``, and
+    2i + j >= 2), and ``[X^n] f`` is ``(N / U)[n-1, n-1] / (n e^(2n-1))``.
+    Returns the raw payloads.
+    """
+    field = prob.field
+    if n_max == 0:
+        return [0]
+    e, terms = _frame_terms(prob.p, n_max)
+    terms = [(i, k, v * e ** (i + k - 1)) for i, k, v in terms]
+    unit = [(0, 0, 1)] + [(i, k, -v) for i, k, v in terms]
+    numer = [(i - 1, k, i * v) for i, k, v in terms if i]
+    box = (n_max - 1, n_max - 1)
+    g = BiSeries.from_terms(field, numer, *box) / BiSeries.from_terms(field, unit, *box)
+    # Z^(n-1) Y^(n-1) sits at flat index (n - 1) * (n_max + 1)
+    out, scale = [0], e
+    for n, v in enumerate(g._c[:: n_max + 1], 1):
+        out.append(_demote(Fraction(v, n * scale)))
+        scale *= e * e
+    return out
 
 
 def taylor_residual(p: BiSeries, f: UniSeries) -> BiSeries:
@@ -345,14 +353,10 @@ def factor_out_root(rp: RootProblem, f: UniSeries) -> BiSeries:
 def furstenberg_solve(rp: RootProblem, n_max: int) -> UniSeries:
     """Solve Q(X, f) = 0 by the diagonal method.
 
-    After the substitution X -> X*Y the root becomes readable off the
-    main diagonal:  f = diag(Y * dQ/dY(XY, Y) / Q(XY, Y)), where one
-    factor of Y cancels against Q(XY, Y) (whose terms all carry Y) so
-    the division is by a genuine unit.  [X^k] f is then [X^k Y^(k-1)]
-    of the quotient g, and truncation modulo (X^(n_max+1), Y^n_max) is
-    a ring map, so numerator, unit and g all live on the box
-    (n_max, n_max - 1) and g is one exact quotient there.  Requires q
-    stored on a box of at least (n_max, n_max).
+    In the frame X = Z*Y, [X^k] f is [Z^k Y^(k-1)] of the quotient
+    g = Y * Q_Y(ZY, Y) / Q(ZY, Y), where Q(ZY, Y) / Y is a unit (its
+    constant term is q01), so g is one exact quotient on the box
+    (n_max, n_max - 1).  Requires q on a box of at least (n_max, n_max).
 
     Over Q the quotient runs on integers.  With e the lcm of the
     denominators of Q's terms on the box and c0 = e * q01, the terms of
@@ -370,26 +374,18 @@ def furstenberg_solve(rp: RootProblem, n_max: int) -> UniSeries:
         return UniSeries.zero(field, 0)
     q = rp.q
     _require_box(q, n_max, n_max, "Q")
-    # Q(XY, Y) / Y and dQ/dY(XY, Y) both move X^i Y^j to X^i Y^(i+j-1),
-    # where i + j >= 1 since Q(0, 0) = 0; terms with i + j > n_max fall
-    # outside the box
-    terms = [t for t in q.nonzero_terms() if t[0] + t[1] <= n_max]
+    e, terms = _frame_terms(q, n_max)
     c0 = 1
     if not field.characteristic:
-        # e * Q(c0 X, c0 Y) with c0 = e * q01, term by term (see above);
-        # X^i Y^j of Q moves to X^i Y^(i+j-1), a factor c0^(2i+j-1)
-        e, ints = _integral([c for _, _, c in terms])
+        # e * Q(c0 X, c0 Y), c0 = e * q01: X^i Y^j gains c0^(2i+j-1) = c0^(i+k)
         c0 = e * q._c[1]  # q01 sits at flat index 1
-        terms = [(i, j, v * c0 ** (2 * i + j - 1)) for (i, j, _), v in zip(terms, ints)]
+        terms = [(i, k, v * c0 ** (i + k)) for i, k, v in terms]
     # the unit's constant term is c0 / c0 = 1 over Q, the invertible q01
     # over GF(p); c // c0 is exact
-    unit = BiSeries.from_terms(
-        field, [(i, i + j - 1, c // c0) for i, j, c in terms], n_max, n_max - 1
-    )
-    numer = BiSeries.from_terms(
-        field, [(i, i + j - 1, j * c) for i, j, c in terms if j], n_max, n_max - 1
-    )
-    g = numer / unit
+    unit = [(i, k, c // c0) for i, k, c in terms]
+    numer = [(i, k, (k - i + 1) * c) for i, k, c in terms if k >= i]
+    box = (n_max, n_max - 1)
+    g = BiSeries.from_terms(field, numer, *box) / BiSeries.from_terms(field, unit, *box)
     # X^k Y^(k-1) sits at flat index k * n_max + k - 1
     diag = g._c[n_max :: n_max + 1]
     if c0 * c0 != 1:
@@ -408,11 +404,8 @@ def _implicit_residual_zero(prob: ImplicitProblem, f: UniSeries) -> bool:
 
 def _as_root_problem(prob: ImplicitProblem, n_max: int) -> RootProblem:
     """Rewrite f = P(X, f) as the root problem Q = P - Y = 0."""
-    p = prob.p
-    if not prob.is_polynomial:
-        _require_box(p, n_max, n_max)
     ny = max(n_max, 1)
-    work = p.resized(n_max, ny)
+    work = prob.p.resized(n_max, ny)
     q = work - BiSeries.from_terms(prob.field, [(0, 1, 1)], n_max, ny)
     return RootProblem(q)
 
@@ -420,7 +413,7 @@ def _as_root_problem(prob: ImplicitProblem, n_max: int) -> RootProblem:
 def solve_series(prob: ImplicitProblem, n_max: int, method) -> SolveReport:
     """Compute f through order ``n_max`` with the chosen method.
 
-    The report carries the solution, the m-range the extraction methods
+    The report carries the solution, the m-range the theorem's sweep
     summed, and the outcome of re-substituting the solution into
     f = P(X, f).  Only an :class:`ImplicitProblem` is accepted; for a
     root problem Q(X, f) = 0 call :func:`furstenberg_solve` instead.
@@ -431,19 +424,22 @@ def solve_series(prob: ImplicitProblem, n_max: int, method) -> SolveReport:
         raise ValueError("n_max must be >= 0")
     if not isinstance(prob, ImplicitProblem):
         raise TypeError(f"expected an ImplicitProblem, got {type(prob).__name__}")
+    if not prob.is_polynomial:  # only terms with i + j <= n_max reach f
+        _require_box(prob.p, n_max, n_max)
 
     m_terms = ()
     if method is SolveMethod.FIXED_POINT:
         f = solve_fixed_point(prob, n_max)
     elif method is SolveMethod.FURSTENBERG:
         f = furstenberg_solve(_as_root_problem(prob, n_max), n_max)
-    else:  # the two extraction formulas
-        char0 = method is SolveMethod.CHAR0
-        if char0 and prob.field.characteristic:
+    elif method is SolveMethod.CHAR0:
+        if prob.field.characteristic:
             raise PositiveCharacteristicError(
                 "the char0 method needs characteristic zero"
             )
-        sums, m_stop = _extraction_vectors(prob, n_max, char_zero_form=char0)
+        f = UniSeries._raw(prob.field, _char_zero_quotient(prob, n_max))
+    else:
+        sums, m_stop = _extraction_vectors(prob, n_max)
         f = UniSeries._raw(prob.field, sums)
         m_terms = tuple(range(1, m_stop + 1))
     return SolveReport(method, f, _implicit_residual_zero(prob, f), m_terms)

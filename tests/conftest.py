@@ -157,6 +157,29 @@ def tail_term_count(prob, n_max, char_zero_form=False):
     return count
 
 
+def flajolet_soria_sum(prob, n_max):
+    """char0's answer by the paper's sum, over Q: the payloads of
+    ``sum_m [X^n Y^(m-1)] P^m / m`` for n <= n_max.
+
+    Like ``tail_term_count``, it forms the powers of P by running products
+    on the box (n_max, 2 n_max - 2) and reads column m - 1 of P^m, for m
+    up to 2 n_max - 1, apart from the frame the char0 method works in.
+    """
+    field = prob.field
+    sums = [0] * (n_max + 1)
+    m_top = 2 * n_max - 1
+    if m_top < 1:
+        return sums
+    p = BiSeries.from_terms(field, prob.p.nonzero_terms(), n_max, m_top - 1)
+    power = p
+    for m in range(1, m_top + 1):
+        for n in range(n_max + 1):
+            sums[n] += Fraction(power.coeff(n, m - 1).value, m)
+        if m < m_top:
+            power = power * p
+    return [field.normalize(v) for v in sums]
+
+
 def linear_fixed_point(prob, n_max):
     """The ground truth for every solve method: iterate f <- P(X, f) from 0.
 

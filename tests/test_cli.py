@@ -136,6 +136,15 @@ def test_malformed_box_exits_2(capsys):
         _box_refused(capsys, box)
 
 
+def test_box_parts_read_as_order_is(capsys):
+    # one rule for every integer option: 1_0 is 10 in --box as in --order
+    argv = ["hasse", "--field", "q", "--poly", "X^10*Y^3", "--m", "1", "--box"]
+    code, out, err = run_cli(capsys, *argv, "1_0x3")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "10,2: 3"
+    assert run_cli(capsys, *argv, "10x3") == (code, out, err)
+
+
 def test_box_part_longer_than_4300_digits_exits_2(capsys):
     # each part is read as --order and --m are, so the message names the
     # digit cap instead of echoing every digit

@@ -27,13 +27,15 @@ from implicitseries import (
     solve_series,
     taylor_residual,
 )
+from implicitseries.expressions import lower_expression, parse_expression
 from implicitseries.series import _Series
-from implicitseries.solver import _extraction_vectors
+from implicitseries.solver import _extraction_vectors, _frame_terms
 
 from conftest import (
     FIELDS,
     catalan_problem,
     embed_x,
+    flajolet_soria_sum,
     linear_fixed_point,
     make_rng,
     random_biseries,
@@ -171,22 +173,18 @@ def test_extraction_char0_examples():
 
 
 def test_extraction_truncated_input_needs_box():
-    p = BiSeries.from_terms(Q, [(1, 0, 1), (0, 2, 1)], 4, 5)
-    prob = ImplicitProblem(p, is_polynomial=False)
-    for method in ("theorem", "char0"):
-        with pytest.raises(InsufficientTruncationError):
-            solve_series(prob, 4, method)  # needs y_order 7
-    # furstenberg needs the box (4, 4)
+    # only the terms with i + j <= n reach [X^n] f, so every method needs
+    # truncated input on the box (n, n) and no more
     narrow = ImplicitProblem(
         BiSeries.from_terms(Q, [(1, 0, 1), (0, 2, 1)], 4, 3), is_polynomial=False
     )
-    with pytest.raises(InsufficientTruncationError):
-        solve_series(narrow, 4, "furstenberg")
-    assert solve_series(prob, 4, "furstenberg").solution.coeff(4) == 5
     wide = ImplicitProblem(
-        BiSeries.from_terms(Q, [(1, 0, 1), (0, 2, 1)], 4, 7), is_polynomial=False
+        BiSeries.from_terms(Q, [(1, 0, 1), (0, 2, 1)], 4, 5), is_polynomial=False
     )
-    assert solve_series(wide, 4, "theorem").solution.coeff(4) == 5
+    for method in SolveMethod:
+        with pytest.raises(InsufficientTruncationError, match=r"\(4, 4\)"):
+            solve_series(narrow, 4, method)
+        assert solve_series(wide, 4, method).solution.coeff(4) == 5
 
 
 def test_extraction_whole_vector_matches_oracle():
@@ -216,10 +214,12 @@ def test_extraction_sums_unchanged_by_tail_window():
             for char0 in (False, True):
                 count = tail_term_count(prob, 6, char0)
                 assert count == 0, (field.tag, char0, prob.p)
-                if char0 and field.characteristic:
-                    continue
-                plain, _ = _extraction_vectors(prob, 6, char_zero_form=char0)
-                assert plain == oracle, (field.tag, char0, prob.p)
+            plain, _ = _extraction_vectors(prob, 6)
+            assert plain == oracle, (field.tag, prob.p)
+            if not field.characteristic:
+                weighted = solve_series(prob, 6, "char0").solution._c
+                assert repr(weighted) == repr(flajolet_soria_sum(prob, 6)), prob.p
+                assert weighted == oracle, prob.p
 
 
 def _fractional_problems():
@@ -248,18 +248,22 @@ def _fractional_problems():
 
 def test_extraction_over_q_with_a_common_denominator():
     # over Q the sweep runs on den * P in integers, den the lcm of the
-    # denominators on the working box, and divides term m by den^(m+1)
-    # (theorem) or m * den^m (char0): the answers are the oracle's, payload
-    # for payload, and the terms past m_top are still zero
+    # denominators on the working box, and divides term m by den^(m+1), and
+    # char0's quotient runs on integers scaled by powers of den: the answers
+    # are the oracles', payload for payload, and the terms past m_top are
+    # still zero
     for polynomial in (True, False):
         for p, n, den in _fractional_problems():
             work = p.resized(n, 2 * n + 3)._c
             assert math.lcm(*(Fraction(c).denominator for c in work)) == den
             prob = ImplicitProblem(p, is_polynomial=polynomial)
             oracle = linear_fixed_point(prob, n)
+            plain, _ = _extraction_vectors(prob, n)
+            assert repr(plain) == repr(oracle._c), p
+            weighted = solve_series(prob, n, "char0").solution._c
+            assert repr(weighted) == repr(flajolet_soria_sum(prob, n)), p
+            assert repr(weighted) == repr(oracle._c), p
             for char0 in (False, True):
-                plain, _ = _extraction_vectors(prob, n, char_zero_form=char0)
-                assert repr(plain) == repr(oracle._c), (p, char0)
                 assert tail_term_count(prob, n, char0) == 0, (p, char0)
                 method = "char0" if char0 else "theorem"
                 report = solve_series(prob, n, method)
@@ -268,22 +272,30 @@ def test_extraction_over_q_with_a_common_denominator():
 
 def test_extraction_over_q_multiplies_only_ints(monkeypatch):
     # with P scaled by its common denominator, no product the sweep makes
-    # holds a Fraction, so none pays a gcd per cell
-    operands = []
-    mul = BiSeries.__mul__
+    # and neither operand of char0's quotient holds a Fraction, so none
+    # pays a gcd per cell
+    operands = {"__mul__": [], "__truediv__": []}
 
-    def recording(self, other):
-        operands.extend((self._c, other._c))
-        return mul(self, other)
+    def recording(name):
+        op = getattr(BiSeries, name)
 
-    monkeypatch.setattr(BiSeries, "__mul__", recording)
+        def record(self, other):
+            operands[name].extend((self._c, other._c))
+            return op(self, other)
+
+        return record
+
+    for name in operands:
+        monkeypatch.setattr(BiSeries, name, recording(name))
     for p, n, den in _fractional_problems():
-        for method in ("theorem", "char0"):
-            operands.clear()
+        for method, name in (("theorem", "__mul__"), ("char0", "__truediv__")):
+            operands[name].clear()
             report = solve_series(ImplicitProblem(p), n, method)
             assert report.residual_zero
-            assert operands
-            assert not any(type(c) is Fraction for c in itertools.chain(*operands))
+            assert operands[name]
+            assert not any(
+                type(c) is Fraction for c in itertools.chain(*operands[name])
+            )
 
 
 def test_per_m_term_groups_differ_but_totals_agree():
@@ -307,6 +319,80 @@ def test_per_m_term_groups_differ_but_totals_agree():
     assert weighted == [0, 0, 0, 0, 0, 0, 5]
     assert sum(general) == sum(weighted) == 5
     assert solve_series(catalan_problem(Q, n), n, "theorem").solution.coeff(n) == 5
+
+
+# -------------------------------------------------------------------- frame
+
+def _frame_series(p, n):
+    """Ph = P(ZY, Y) / Y and Dh = D(ZY, Y), D = 1 - dP/dY, on the box
+    (n, n - 1), from ``_frame_terms``."""
+    e, terms = _frame_terms(p, n)
+    terms = [(i, k, Fraction(v, e)) for i, k, v in terms]
+    ph = BiSeries.from_terms(p.field, terms, n, n - 1)
+    d = [(0, 0, 1)] + [(i, k, -(k - i + 1) * c) for i, k, c in terms if k >= i]
+    return ph, BiSeries.from_terms(p.field, d, n, n - 1)
+
+
+def test_frame_identity_term_by_term():
+    # [X^k Y^(m-1)] D * P^m == [Z^k Y^(k-1)] Dh * Ph^m for every k <= n and
+    # m <= 2n - 1, the identity the theorem, char0 and furstenberg rest on
+    rng = make_rng("frame-identity")
+    for field in (Q, F2, PrimeField(3), PrimeField(10007)):
+        for _ in range(12):
+            n = rng.randint(1, 8)
+            p = random_implicit_poly(
+                rng, field, n, 2 * n - 1, max_degree=5, n_terms=rng.randint(1, 5)
+            )
+            one = BiSeries.from_terms(field, [(0, 0, 1)], n, 2 * n - 2)
+            d = one - p.hasse_derivative(1)
+            px = p.resized(n, 2 * n - 2)
+            ph, dh = _frame_series(p, n)
+            power, power_h = px, ph
+            for m in range(1, 2 * n):
+                term, term_h = d * power, dh * power_h
+                for k in range(1, n + 1):
+                    assert term.coeff(k, m - 1) == term_h.coeff(k, k - 1), (
+                        field.tag, p, k, m,
+                    )
+                power, power_h = power * px, power_h * ph
+
+
+def _random_text(rng, field):
+    """A random P as text: a few monomials c * X^i * Y^j, fractions over Q."""
+    monomials = []
+    for _ in range(rng.randint(1, 5)):
+        i, j = rng.randint(0, 5), rng.randint(0, 5)
+        if (i, j) in ((0, 0), (0, 1)):
+            i += 1
+        c = random_nonzero_value(rng, field)
+        monomials.append(f"({'-' if c < 0 else ''}{abs(c)})*X^{i}*Y^{j}")
+    return " + ".join(monomials)
+
+
+def test_frame_terms_match_lowering_in_the_frame():
+    # the helper against an independent build: lower P with X replaced by
+    # (X*Y), so X^i Y^j lands on X^i Y^(i+j), and shift it down one Y column
+    rng = make_rng("frame-terms")
+    for field in (Q, F2, PrimeField(3), PrimeField(10007)):
+        for _ in range(20):
+            text = _random_text(rng, field)
+            n = rng.randint(1, 9)
+            p = lower_expression(parse_expression(text, field), field, n, 2 * n - 1)
+            e, terms = _frame_terms(p, n)
+            if not field.characteristic:
+                assert all(type(v) is int for _, _, v in terms)
+                kept = [c for i, j, c in p.nonzero_terms() if i + j <= n]
+                assert e == math.lcm(1, *(Fraction(c).denominator for c in kept))
+            else:
+                assert e == 1
+            code = parse_expression(text.replace("X", "(X*Y)"), field)
+            wide = lower_expression(code, field, n, n)
+            assert not any(wide.coeff(i, 0) for i in range(n + 1))
+            shifted = [(i, j - 1, c) for i, j, c in wide.nonzero_terms()]
+            expected = BiSeries.from_terms(field, shifted, n, n - 1)
+            framed = [(i, k, Fraction(v, e)) for i, k, v in terms]
+            assert BiSeries.from_terms(field, framed, n, n - 1) == expected, text
+            assert all(k <= n - 1 for _, k, _ in terms)
 
 
 # ------------------------------------------------------------------- taylor
@@ -529,7 +615,7 @@ def test_solve_series_catalan_all_methods():
         assert report.solution._c == [0, 1, 1, 2, 5, 14, 42]
         assert report.residual_zero is True
         assert report.method is method
-        if method in (SolveMethod.THEOREM, SolveMethod.CHAR0):
+        if method is SolveMethod.THEOREM:
             assert report.m_terms_used == tuple(range(1, 12))
         else:
             assert report.m_terms_used == ()
