@@ -35,7 +35,7 @@ from .errors import (
     ZeroConstantTermError,
 )
 from .expressions import MAX_LITERAL_DIGITS, lower_expression, parse_expression
-from .fields import Field, PrimeField, RationalField
+from .fields import Field, PrimeField, RationalField, _decimal, _read_int
 from .series import BiSeries
 from .solver import (
     ImplicitProblem,
@@ -49,7 +49,7 @@ from .solver import (
 
 def _check_digits(text: str, error=ValueError) -> None:
     """Raise ``error`` if ``text`` has more than ``MAX_LITERAL_DIGITS``
-    digits, before ``int()`` reads them, whatever the interpreter's limit."""
+    digits, before ``_read_int`` reads them."""
     if sum(map(str.isdecimal, text)) > MAX_LITERAL_DIGITS:
         raise error(f"number longer than {MAX_LITERAL_DIGITS} digits")
 
@@ -64,7 +64,7 @@ def make_field(spec: str) -> Field:
     if spec.startswith("fp:"):
         _check_digits(spec)
         try:
-            modulus = int(spec[3:])
+            modulus = _read_int(spec[3:])
         except ValueError:
             pass  # not a number: the unknown-field message below
         else:
@@ -88,7 +88,7 @@ def _box_argument(text: str):
 def _nonnegative(text: str) -> int:
     _check_digits(text, argparse.ArgumentTypeError)
     try:
-        value = int(text)
+        value = _read_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     if value < 0:
@@ -106,27 +106,6 @@ def _emit(args, method: str, field: Field, order, plain_lines, **body) -> int:
         for line in plain_lines:
             print(line)
     return 0
-
-
-# str() of an int of at most this many bits stays under the smallest limit
-# on decimal digits that sys.set_int_max_str_digits accepts (640)
-_STR_BITS = 2000
-
-
-def _decimal(n: int) -> str:
-    """``str(n)``, also for ints beyond the interpreter's limit on digits.
-
-    A big int is split by a power of ten into two halves, each printed the
-    same way, the low half zero-padded to its width.
-    """
-    if n < 0:
-        return "-" + _decimal(-n)
-    if n.bit_length() <= _STR_BITS:
-        return str(n)
-    # n has about bits * log10(2) digits; the low half gets half of them
-    k = n.bit_length() * 3 // 20
-    high, low = divmod(n, 10**k)
-    return _decimal(high) + _decimal(low).zfill(k)
 
 
 def _texts(payloads) -> list:

@@ -38,13 +38,13 @@ from .errors import (
     ExpressionSyntaxError,
     LiteralNotInFieldError,
 )
-from .fields import Field
+from .fields import Field, _read_int
 from .series import BiSeries, _binary_pow, _check_cells
 
 _SYMBOLS = set("+-*/^()")
 MAX_PAREN_DEPTH = 100
 # CPython's default limit on int-from-string conversion: a longer digit run
-# is a syntax error before int() reads it, whatever the interpreter's setting
+# is a syntax error before it is read, whatever the interpreter's setting
 MAX_LITERAL_DIGITS = 4300
 # over Q, c^m for a constant term c other than 0 and +-1 is refused when
 # m times the bit length of c's numerator or denominator exceeds this:
@@ -75,7 +75,7 @@ def _tokenize(text: str) -> list:
                 raise ExpressionSyntaxError(
                     f"number longer than {MAX_LITERAL_DIGITS} digits", offset
                 )
-            tokens.append(("int", int(text[i:j]), offset))
+            tokens.append(("int", _read_int(text[i:j]), offset))
             i = j
         elif ch in ("X", "Y"):
             tokens.append(("var", ch, offset))

@@ -19,6 +19,12 @@ from .errors import FieldMismatchError, LiteralNotInFieldError
 
 MAX_MODULUS = 2**31
 
+# The smallest limit on decimal digits that sys.set_int_max_str_digits
+# accepts: int() and str() convert this many digits under any setting
+_SAFE_DIGITS = 640
+# str() of an int of at most this many bits has fewer than _SAFE_DIGITS digits
+_STR_BITS = 2000
+
 # Deterministic Miller-Rabin witnesses: for an n coprime to all three the
 # test is exact below 4759123141 (Jaeschke, Math. Comp. 61, 1993), so for the
 # whole supported modulus range.
@@ -77,6 +83,48 @@ class Field:
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise TypeError(f"cannot use {type(x).__name__} as a {self.tag} value")
         return self._embed(x)
+
+
+def _read_int(text: str) -> int:
+    """``int(text)`` for decimal text, whatever the interpreter's limit on
+    digits.
+
+    It reads what ``int`` reads: whitespace around, one sign, any decimal
+    digits with single underscores between them.  A longer text is read in
+    chunks of ``_SAFE_DIGITS`` digits.  Raises ``ValueError`` where ``int``
+    would.
+    """
+    if len(text) <= _SAFE_DIGITS:
+        return int(text)
+    body = text.strip()
+    sign = -1 if body[:1] == "-" else 1
+    if body[:1] in ("+", "-"):
+        body = body[1:]
+    parts = body.split("_")
+    if not all(map(str.isdecimal, parts)):  # an empty part is a stray "_"
+        raise ValueError("not a decimal integer")
+    digits = "".join(parts)
+    value = 0
+    for k in range(0, len(digits), _SAFE_DIGITS):
+        chunk = digits[k : k + _SAFE_DIGITS]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
+
+
+def _decimal(n: int) -> str:
+    """``str(n)``, also for ints beyond the interpreter's limit on digits.
+
+    A big int is split by a power of ten into two halves, each printed the
+    same way, the low half zero-padded to its width.
+    """
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    # n has about bits * log10(2) digits; the low half gets half of them
+    k = n.bit_length() * 3 // 20
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
 
 
 def _demote(f: Fraction):
@@ -140,7 +188,9 @@ class PrimeField(Field):
         if not isinstance(modulus, int) or isinstance(modulus, bool):
             raise TypeError("modulus must be an int")
         if not 2 <= modulus < MAX_MODULUS:
-            raise ValueError(f"modulus must satisfy 2 <= p < 2**31, got {modulus}")
+            raise ValueError(
+                f"modulus must satisfy 2 <= p < 2**31, got {_decimal(modulus)}"
+            )
         if not _is_prime(modulus):
             raise ValueError(f"modulus {modulus} is not prime")
         self.modulus = modulus

@@ -32,6 +32,9 @@ always multiplies ints: a factor that holds a ``Fraction`` is scaled to
 integers over the lcm of its denominators (``_integral``), and each
 result cell becomes one ``Fraction`` over the product of the two lcms,
 so a product pays a gcd per result cell, not per term pair.
+``BiSeries.subst_y`` over Q scales its two operands the same way once, so
+its Horner loop adds and multiplies only ints and the result pays one gcd
+per cell.
 
 ``zero``, which ``from_terms`` and ``BiSeries.resized`` start from, refuses
 a box of more than ``MAX_BOX_CELLS`` cells with :class:`BoxTooLargeError`
@@ -587,6 +590,12 @@ class BiSeries(_Series):
 
         Requires ``f(0) = 0`` (so the substitution respects truncation)
         and ``f.order >= x_order``.  The result has order ``x_order``.
+
+        Over Q, Horner runs on integers.  With ``f = F / d`` and this
+        series ``C / e`` (``_integral`` on f and on this series' support),
+        ``acc <- acc * F + d^(top - j) * C_j`` from the top nonzero column
+        down ends at ``e * d^top`` times the answer, which then becomes one
+        ``Fraction`` per cell; with ``d = e = 1`` the ints are the answer.
         """
         if not isinstance(f, UniSeries):
             raise TypeError(f"expected a UniSeries, got {type(f).__name__}")
@@ -604,13 +613,34 @@ class BiSeries(_Series):
                 f"substituted series has order {f.order}, need at least {nx}"
             )
         fx = f.resized(nx)
+        field, c, w = self.field, self._c, self._w
         # all-zero top columns contribute nothing; start at the highest
         # nonzero one (lowering often leaves many above the support)
-        top = _top_column(self._c, self._w, self.y_order)
-        acc = self.column(top)
+        top = _top_column(c, w, self.y_order)
+        d = e = 1
+        if not field.characteristic:
+            d, ints = _integral(fx._c)
+            fx = UniSeries._raw(field, ints)
+            nz = self._support()
+            e, ints = _integral(list(map(c.__getitem__, nz)))
+            if e > 1:
+                c = [0] * len(c)
+                for t, v in zip(nz, ints):
+                    c[t] = v
+        norm = field.normalize
+        acc = UniSeries._raw(field, c[top::w])
+        scale = 1
         for j in range(top - 1, -1, -1):
-            acc = acc * fx + self.column(j)
-        return acc
+            scale *= d
+            out = (acc * fx)._c  # a fresh list: adding in place is safe
+            col = c[j::w]
+            for k in compress(range(len(col)), col):
+                out[k] = norm(out[k] + scale * col[k])
+            acc = UniSeries._raw(field, out)
+        den = e * scale
+        if den == 1:
+            return acc
+        return UniSeries._raw(field, [_demote(Fraction(v, den)) if v else 0 for v in acc._c])
 
     def reciprocal(self) -> "BiSeries":
         """Multiplicative inverse on the same box: ``one / self``."""

@@ -34,11 +34,13 @@ On P = X * phi(Y) the two sums are Lagrange inversion: theorem's is
 [Y^(n-1)] phi^n - [Y^(n-2)] phi' * phi^(n-1), in any characteristic, and
 char0's is (1/n) [Y^(n-1)] phi^n.
 
-Over Q the frame runs on integers over the lcm of P's denominators,
-with one ``Fraction`` per coefficient of the answer.  Every other product
-over Q multiplies integers over one common denominator inside the series
-layer; Newton's quotient stays on ``Fraction``s, as its divisor's
-denominators grow with the order.
+Over Q every method runs on integers, with one ``Fraction`` per
+coefficient of the answer.  The frame takes P's terms as integers over
+the lcm of their denominators; ``fixpoint`` runs Newton on the integral
+P(e^2 X, e Y) / e of its own working box; the theorem weights its terms
+by integer powers of the lcm and divides each sum once; and
+``BiSeries.subst_y``, which the residual check calls on the original P,
+runs Horner on integers.
 
 ``solve_series`` is the single entry point that runs any of them on an
 ``ImplicitProblem`` and re-substitutes the result into its equation;
@@ -153,6 +155,14 @@ def _require_box(series: BiSeries, nx: int, ny: int, name: str = "P") -> None:
         )
 
 
+def _working_box(p: BiSeries, n: int) -> BiSeries:
+    """P on the box (n, top) that f = P(X, f) reads through order n: f
+    vanishes at 0, so Y^j with j > n cannot reach order n, and the columns
+    above P's highest nonzero one there add nothing."""
+    top = _top_column(p._c, p._w, min(p.y_order, n), (n + 1) * p._w)
+    return p.resized(n, top)
+
+
 def solve_fixed_point(prob: ImplicitProblem, n_max: int) -> UniSeries:
     """Solve by Newton iteration, doubling the known coefficients per step.
 
@@ -163,19 +173,32 @@ def solve_fixed_point(prob: ImplicitProblem, n_max: int) -> UniSeries:
     characteristic.  The linear iteration ``f <- P(X, f)``, one
     coefficient per pass, lives on in the tests as the ground truth for
     this and the other methods.
+
+    Over Q the loop runs in Eisenstein's integral frame.  With e the lcm of
+    the denominators on the working box, it solves g = P'(X, g) for
+    ``P'(X, Y) = P(e^2 X, e Y) / e``, whose term c X^i Y^j is
+    (e c) e^(2i+j-2) X^i Y^j, an integer as 2i + j >= 2.  So g is
+    integral, the divisor ``1 - P'_Y(X, g)`` is integral with constant term
+    1, every product and the quotient run on ints, and ``f(X) = e g(X / e^2)``
+    gives ``f_k = g_k / e^(2k - 1)``, one ``Fraction`` per coefficient.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     field = prob.field
     if n_max == 0:
         return UniSeries.zero(field, 0)
-    p = prob.p
     if not prob.is_polynomial:
-        _require_box(p, n_max, n_max)
-    # f vanishes at 0, so Y^j with j > n_max cannot reach order n_max;
-    # columns above P's highest nonzero one on the box add nothing
-    top = _top_column(p._c, p._w, min(p.y_order, n_max), (n_max + 1) * p._w)
-    work = p.resized(n_max, top)
+        _require_box(prob.p, n_max, n_max)
+    work = _working_box(prob.p, n_max)
+    top = work.y_order
+    e = 1
+    if not field.characteristic:
+        terms = work.nonzero_terms()
+        e, values = _integral([c for _, _, c in terms])
+        if e > 1:
+            # X^i Y^j of e * P gains e^(2i + j - 2), an int as 2i + j >= 2
+            scaled = [(i, j, v * e ** (2 * i + j - 2)) for (i, j, _), v in zip(terms, values)]
+            work = BiSeries.from_terms(field, scaled, n_max, top)
     dwork = work.hasse_derivative(1) if top else None
     # f = 0 is right through order 0 and P_Y(0, 0) = 0, so the first
     # step gives f = P(X, 0) through order 1
@@ -191,6 +214,12 @@ def solve_fixed_point(prob: ImplicitProblem, n_max: int) -> UniSeries:
             py = dwork.resized(k, top - 1).subst_y(f)
             r = r / (UniSeries._raw(field, [1] + [0] * k) - py)
         f = f + r
+    if e > 1:  # f_k = g_k / e^(2k - 1)
+        out, scale = [0], e
+        for g in f._c[1:]:
+            out.append(_demote(Fraction(g, scale)))
+            scale *= e * e
+        f = UniSeries._raw(field, out)
     return f
 
 
@@ -218,7 +247,9 @@ def _extraction_vectors(prob, n_max):
     until the power vanishes on the box, as all later terms then do.
 
     Over Q the sweep multiplies ``den * Ph`` in integers (``_frame_terms``),
-    with ``den - den * dP/dY`` for D, and weights term m by 1/den^(m+1).
+    with ``den - den * dP/dY`` for D.  Term m needs the weight 1/den^(m+1):
+    the sums take the int den^(m_top - m) instead and are divided once, by
+    den^(m_top + 1), at the end.
     ``solve_series`` reports ``range(1, m_stop + 1)`` as the theorem's
     ``m_terms_used``; char0, one quotient, reports ``()``.
     """
@@ -245,7 +276,7 @@ def _extraction_vectors(prob, n_max):
     cur = factor
     m_top = m_stop = 2 * n_max - 1
     for m in range(1, m_top + 1):
-        w = Fraction(1, den ** (m + 1)) if den > 1 else 1
+        w = den ** (m_top - m)  # 1/den^(m+1), times den^(m_top+1)
         flat = cur._c
         acc = [0] * (n_max + 1)  # the term of m for each n, before weighting
         for start, stop, k0, c in reads:
@@ -260,6 +291,9 @@ def _extraction_vectors(prob, n_max):
             if cur.is_zero():
                 m_stop = m
                 break  # all later powers vanish on the box too
+    if den > 1:
+        scale = den ** (m_top + 1)
+        return [_demote(Fraction(v, scale)) for v in sums], m_stop
     return [norm(v) for v in sums], m_stop
 
 
@@ -398,16 +432,13 @@ def furstenberg_solve(rp: RootProblem, n_max: int) -> UniSeries:
 
 def _implicit_residual_zero(prob: ImplicitProblem, f: UniSeries) -> bool:
     """Whether ``f = P(X, f)`` holds through the order of ``f``."""
-    work = prob.p.resized(f.order, min(prob.p.y_order, f.order))
-    return work.subst_y(f) == f
+    return _working_box(prob.p, f.order).subst_y(f) == f
 
 
 def _as_root_problem(prob: ImplicitProblem, n_max: int) -> RootProblem:
     """Rewrite f = P(X, f) as the root problem Q = P - Y = 0."""
-    ny = max(n_max, 1)
-    work = prob.p.resized(n_max, ny)
-    q = work - BiSeries.from_terms(prob.field, [(0, 1, 1)], n_max, ny)
-    return RootProblem(q)
+    terms = prob.p.nonzero_terms() + [(0, 1, -1)]
+    return RootProblem(BiSeries.from_terms(prob.field, terms, n_max, max(n_max, 1)))
 
 
 def solve_series(prob: ImplicitProblem, n_max: int, method) -> SolveReport:

@@ -117,6 +117,24 @@ def random_root_poly(rng, field, x_order, y_order, max_degree=4, n_terms=3):
     return BiSeries.from_terms(field, terms, x_order, y_order)
 
 
+def fraction_horner(p, f):
+    """The payloads of ``p.subst_y(f)`` by Horner over P's columns on the
+    field's payloads, each term pair multiplied and added and normalized on
+    its own: over Q on ``Fraction``s, with none of the series layer's
+    scaling to integers.  Reads f through ``p.x_order``."""
+    norm = p.field.normalize
+    nx = p.x_order
+    fc = f._c[: nx + 1]
+    acc = [0] * (nx + 1)
+    for j in range(p.y_order, -1, -1):
+        prod = [0] * (nx + 1)
+        for a, x in enumerate(acc):
+            for b in range(nx + 1 - a):
+                prod[a + b] = norm(prod[a + b] + norm(x * fc[b]))
+        acc = [norm(s + c) for s, c in zip(prod, p._c[j :: p._w])]
+    return acc
+
+
 def embed_x(f, y_order):
     """The series ``f`` in X on the box ``(f.order, y_order)``."""
     terms = [(i, 0, c) for i, c in enumerate(f._c)]

@@ -409,6 +409,31 @@ def test_answers_beyond_4300_digits_print():
     assert result.stdout == f"0: 0\n1: 1\n2: {digits[0]}\n3: {digits[1]}\n"
 
 
+def test_integers_read_at_the_smallest_digit_limit():
+    # at the smallest limit on int digits (640), a literal, an --order and an
+    # fp: modulus of 1001 digits are read as at the default limit: the
+    # literal solves, the order meets the box cap, the modulus the range check
+    big = 7 * 10**1000
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640")
+
+    def run(field, poly, order):
+        argv = ["solve", "--field", field, "--poly", poly, "--order", order]
+        return subprocess.run(
+            [sys.executable, "-m", "implicitseries.cli", *argv],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+
+    result = run("q", f"{big}*X + Y^2", "2")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == f"0: 0\n1: {big}\n2: {big ** 2}\n"
+    result = run("q", "X + Y^2", str(big))
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == "error: a truncation box holds more than 4194304 cells\n"
+    result = run(f"fp:{big}", "X + Y^2", "2")
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == f"error: modulus must satisfy 2 <= p < 2**31, got {big}\n"
+
+
 def test_coefficient_text_is_str_within_its_limit():
     # one value beyond str()'s limit on digits sends every value of the list
     # through the piecewise conversion, which prints the others as str() does

@@ -23,6 +23,7 @@ from implicitseries import (
 from conftest import (
     FIELDS,
     embed_x,
+    fraction_horner,
     make_rng,
     random_biseries,
     random_uniseries,
@@ -665,6 +666,31 @@ def test_subst_y_agrees_with_term_expansion():
             for j in range(ny + 1):
                 total = total + p.column(j) * f.pow(j)
             assert direct == total
+
+
+def test_subst_y_over_q_matches_fraction_horner():
+    # over Q, subst_y runs Horner on integers over the lcms of f's and P's
+    # denominators: a Horner loop on Fractions gives the same payloads, for
+    # a fractional f, a fractional P, both, and f known beyond P's box
+    rng = make_rng("subst-fraction-horner")
+
+    def value(fractional):
+        if fractional and rng.random() < 0.5:
+            return Fraction(rng.randint(-9, 9), rng.randint(2, 12))
+        return rng.randint(-9, 9)
+
+    for f_frac, p_frac, extra in [
+        (True, False, 0), (False, True, 0), (True, True, 0), (True, True, 3),
+    ]:
+        for _ in range(30):
+            nx, ny = rng.randint(0, 6), rng.randint(0, 5)
+            terms = [
+                (rng.randint(0, nx), rng.randint(0, ny), value(p_frac))
+                for _ in range(rng.randint(0, 8))
+            ]
+            p = BiSeries.from_terms(Q, terms, nx, ny)
+            f = UniSeries(Q, [0] + [value(f_frac) for _ in range(nx + extra)])
+            assert repr(p.subst_y(f)._c) == repr(fraction_horner(p, f)), (p, f)
 
 
 def test_reciprocal_geometric_grid():

@@ -27,6 +27,7 @@ from implicitseries import (
     solve_series,
     taylor_residual,
 )
+from implicitseries import solver
 from implicitseries.expressions import lower_expression, parse_expression
 from implicitseries.series import _Series
 from implicitseries.solver import _extraction_vectors, _frame_terms
@@ -296,6 +297,84 @@ def test_extraction_over_q_multiplies_only_ints(monkeypatch):
             assert not any(
                 type(c) is Fraction for c in itertools.chain(*operands[name])
             )
+
+
+def test_fixpoint_over_q_multiplies_only_ints(monkeypatch):
+    # Newton runs on the integral P(e^2 X, e Y) / e, without _frame_terms:
+    # no product it makes and neither operand of its quotient holds a
+    # Fraction.  The residual check substitutes into the original P, also
+    # on ints.
+    oracles = [linear_fixed_point(ImplicitProblem(p), n) for p, n, _ in _fractional_problems()]
+    operands = {"__mul__": [], "__truediv__": []}
+
+    def recording(name):
+        op = getattr(UniSeries, name)
+
+        def record(self, other):
+            operands[name].extend((self._c, other._c))
+            return op(self, other)
+
+        return record
+
+    for name in operands:
+        monkeypatch.setattr(UniSeries, name, recording(name))
+    seen = []
+    subst_y = BiSeries.subst_y
+
+    def substituted(self, f):
+        seen.append(self)
+        return subst_y(self, f)
+
+    def refuse(*args):
+        raise AssertionError("fixpoint reads the frame")
+
+    monkeypatch.setattr(BiSeries, "subst_y", substituted)
+    monkeypatch.setattr(solver, "_frame_terms", refuse)
+    for (p, n, _), oracle in zip(_fractional_problems(), oracles):
+        seen.clear()
+        report = solve_series(ImplicitProblem(p), n, "fixpoint")
+        assert repr(report.solution) == repr(oracle), p
+        assert report.residual_zero
+        # the residual substitutes into P's own terms that reach order n
+        assert seen[-1].nonzero_terms() == [
+            t for t in p.nonzero_terms() if t[0] <= n and t[1] <= n
+        ]
+    for name, values in operands.items():
+        assert values, name
+        assert not any(type(c) is Fraction for c in itertools.chain(*values)), name
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        ("1/3*X + 5/7*Y^2 + 1/11*X*Y", 12),
+        ("1/2*X + X*Y - Y^2 + 3/4*X^2*Y^3", 10),
+        ("-2/9*X + 5/6*Y^3 + X^2 + 7/10*X^3*Y^2", 9),
+        ("1/2*X + Y^2 + 1/3*X^9", 6),  # X^9 lies beyond the box: e = 2
+    ],
+)
+def test_fixpoint_frame_is_the_lowered_substitution(monkeypatch, text, n):
+    # over Q, Newton substitutes into P(e^2 X, e Y) / e, e the lcm of the
+    # denominators on its working box (n, top): the text of that series,
+    # lowered, is the integral series it builds
+    p = lower_expression(parse_expression(text, Q), Q, n, 2 * n - 1)
+    seen = []
+    subst_y = BiSeries.subst_y
+
+    def record(self, f):
+        seen.append(self)
+        return subst_y(self, f)
+
+    monkeypatch.setattr(BiSeries, "subst_y", record)
+    f = solve_fixed_point(ImplicitProblem(p), n)
+    monkeypatch.undo()
+    work = next(s for s in seen if s.x_order == n)  # P' comes before P'_Y
+    top = work.y_order
+    e = math.lcm(*(Fraction(c).denominator for c in p.resized(n, top)._c))
+    assert e > 1 and all(type(c) is int for c in work._c)
+    frame = text.replace("X", f"({e}^2*X)").replace("Y", f"({e}*Y)")
+    assert work == lower_expression(parse_expression(f"1/{e}*({frame})", Q), Q, n, top)
+    assert f == linear_fixed_point(ImplicitProblem(p), n)
 
 
 def test_per_m_term_groups_differ_but_totals_agree():
