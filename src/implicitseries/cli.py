@@ -150,11 +150,16 @@ def _lower(args, text: str, nx: int, ny: int):
     return field, lower_expression(parse_expression(text, field), field, nx, ny)
 
 
+def _lower_to_order(args):
+    """Lower ``--poly`` on (n, max(n, 1)) for ``--order`` n: only terms
+    X^i Y^j with i + j <= n reach [X^n] f, and the linear-Y validation
+    always has a column to inspect."""
+    n = args.order
+    return _lower(args, args.poly, n, max(n, 1))
+
+
 def _implicit_problem(args):
-    # wide enough in Y that every term able to influence coefficients
-    # through `order` survives lowering, and the linear-Y validation
-    # always has a column to inspect
-    field, p = _lower(args, args.poly, args.order, max(1, 2 * args.order - 1))
+    field, p = _lower_to_order(args)
     return field, ImplicitProblem(p)
 
 
@@ -209,7 +214,7 @@ def cmd_hasse(args) -> int:
 
 def cmd_factor(args) -> int:
     n = args.order
-    field, q = _lower(args, args.poly, n, max(n, 1))
+    field, q = _lower_to_order(args)
     rp = RootProblem(q)
     f = furstenberg_solve(rp, n)
     r = factor_out_root(rp, f)

@@ -65,8 +65,8 @@ from .fields import Field, FieldElement, _demote
 
 # The most cells a truncation box may hold, 32 MB of list per series on a
 # 64-bit build: ``zero`` and ``lower_expression`` refuse a larger box before
-# allocating it.  The CLI lowers P on (n, 2n - 1), so this admits orders up
-# to 1447.
+# allocating it.  The CLI lowers P on (n, max(n, 1)), so this admits orders
+# up to 2047.
 MAX_BOX_CELLS = 1 << 22
 
 

@@ -23,22 +23,23 @@ and with Dh = D(ZY, Y),
 
     [X^n Y^(m-1)] D * P^m  =  [Z^n Y^(n-1)] Dh * Ph^m      for every m,
 
-so only the terms of P with i + j <= n reach [X^n] f (``_frame_terms``).
-``theorem`` expands the sum term by term, one product per m; ``char0``
-sums its 1/m-weighted series as one quotient Ph_Z / (1 - Ph);
-``furstenberg`` divides Dh by the same unit.  So ``verify`` still pits an
-expansion against two quotients, and ``fixpoint`` and the residual check
-that ``solve_series`` makes share no frame code.
+so only the terms of P with i + j <= n reach [X^n] f.  ``theorem``
+expands the sum term by term, one product per m (``_frame_terms``);
+``char0`` and ``furstenberg`` divide by the unit 1 - Ph once, with the
+numerators Z Ph_Z and Dh (``_diagonal_quotient``).  So ``verify`` still
+pits an expansion against two quotients, and the residual check that
+``solve_series`` makes shares no frame code.
 
 On P = X * phi(Y) the two sums are Lagrange inversion: theorem's is
 [Y^(n-1)] phi^n - [Y^(n-2)] phi' * phi^(n-1), in any characteristic, and
 char0's is (1/n) [Y^(n-1)] phi^n.
 
 Over Q every method runs on integers, with one ``Fraction`` per
-coefficient of the answer.  The frame takes P's terms as integers over
-the lcm of their denominators; ``fixpoint`` runs Newton on the integral
-P(e^2 X, e Y) / e of its own working box; the theorem weights its terms
-by integer powers of the lcm and divides each sum once; and
+coefficient of the answer.  ``fixpoint``, ``char0`` and ``furstenberg``
+solve for Eisenstein's integral P' = P(e^2 X, e Y) / e (``_eisenstein``),
+e the lcm of the denominators, and read f_k = g_k / e^(2k-1) off its
+solution g (``_unscale``).  The theorem's sweep takes d * P, d the lcm,
+weights its terms by integer powers of d and divides each sum once; and
 ``BiSeries.subst_y``, which the residual check calls on the original P,
 runs Horner on integers.
 
@@ -174,13 +175,10 @@ def solve_fixed_point(prob: ImplicitProblem, n_max: int) -> UniSeries:
     coefficient per pass, lives on in the tests as the ground truth for
     this and the other methods.
 
-    Over Q the loop runs in Eisenstein's integral frame.  With e the lcm of
-    the denominators on the working box, it solves g = P'(X, g) for
-    ``P'(X, Y) = P(e^2 X, e Y) / e``, whose term c X^i Y^j is
-    (e c) e^(2i+j-2) X^i Y^j, an integer as 2i + j >= 2.  So g is
-    integral, the divisor ``1 - P'_Y(X, g)`` is integral with constant term
-    1, every product and the quotient run on ints, and ``f(X) = e g(X / e^2)``
-    gives ``f_k = g_k / e^(2k - 1)``, one ``Fraction`` per coefficient.
+    Over Q the loop solves g = P'(X, g) for Eisenstein's integral
+    ``P' = P(e^2 X, e Y) / e`` of the working box (``_eisenstein``): g and
+    the divisor ``1 - P'_Y(X, g)``, with constant term 1, are integral, so
+    every product and the quotient run on ints, and ``_unscale`` reads f.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -191,14 +189,9 @@ def solve_fixed_point(prob: ImplicitProblem, n_max: int) -> UniSeries:
         _require_box(prob.p, n_max, n_max)
     work = _working_box(prob.p, n_max)
     top = work.y_order
-    e = 1
-    if not field.characteristic:
-        terms = work.nonzero_terms()
-        e, values = _integral([c for _, _, c in terms])
-        if e > 1:
-            # X^i Y^j of e * P gains e^(2i + j - 2), an int as 2i + j >= 2
-            scaled = [(i, j, v * e ** (2 * i + j - 2)) for (i, j, _), v in zip(terms, values)]
-            work = BiSeries.from_terms(field, scaled, n_max, top)
+    e, terms = _eisenstein(work.nonzero_terms())
+    if e > 1:
+        work = BiSeries.from_terms(field, terms, n_max, top)
     dwork = work.hasse_derivative(1) if top else None
     # f = 0 is right through order 0 and P_Y(0, 0) = 0, so the first
     # step gives f = P(X, 0) through order 1
@@ -214,13 +207,34 @@ def solve_fixed_point(prob: ImplicitProblem, n_max: int) -> UniSeries:
             py = dwork.resized(k, top - 1).subst_y(f)
             r = r / (UniSeries._raw(field, [1] + [0] * k) - py)
         f = f + r
-    if e > 1:  # f_k = g_k / e^(2k - 1)
-        out, scale = [0], e
-        for g in f._c[1:]:
-            out.append(_demote(Fraction(g, scale)))
-            scale *= e * e
-        f = UniSeries._raw(field, out)
-    return f
+    return _unscale(field, f._c, e)
+
+
+def _eisenstein(terms):
+    """``(e, terms')``: the nonzero terms ``(i, j, c)`` of P as those of
+    Eisenstein's integral ``P' = P(e^2 X, e Y) / e``.
+
+    Over Q, e is the lcm of the denominators, and c X^i Y^j becomes
+    (e c) e^(2i+j-2) X^i Y^j, an integer as 2i + j >= 2.  Without a
+    ``Fraction``, over GF(p) in particular, e = 1 and the terms pass
+    through."""
+    e, values = _integral([c for _, _, c in terms])
+    if e == 1:
+        return 1, terms
+    return e, [(i, j, v * e ** (2 * i + j - 2)) for (i, j, _), v in zip(terms, values)]
+
+
+def _unscale(field, g: list, e: int, over_k: bool = False) -> UniSeries:
+    """f from the coefficients g of the solution for ``P'``:
+    ``f(X) = e g(X / e^2)`` gives ``f_k = g_k / e^(2k - 1)``, one
+    ``Fraction`` each; char0's ``g_k`` also carries a factor k (``over_k``)."""
+    if e == 1 and not over_k:
+        return UniSeries._raw(field, g)
+    out, scale = [0], e
+    for k in range(1, len(g)):
+        out.append(_demote(Fraction(g[k], k * scale if over_k else scale)))
+        scale *= e * e
+    return UniSeries._raw(field, out)
 
 
 def _frame_terms(series: BiSeries, n_max: int):
@@ -229,10 +243,7 @@ def _frame_terms(series: BiSeries, n_max: int):
     Over Q, ``v = e * c`` are integers over the lcm ``e`` of their
     denominators; over GF(p), ``e = 1`` and ``v = c``."""
     terms = [t for t in series.nonzero_terms() if t[0] + t[1] <= n_max]
-    values = [c for _, _, c in terms]
-    e = 1
-    if not series.field.characteristic:
-        e, values = _integral(values)
+    e, values = _integral([c for _, _, c in terms])
     return e, [(i, i + j - 1, v) for (i, j, _), v in zip(terms, values)]
 
 
@@ -297,33 +308,30 @@ def _extraction_vectors(prob, n_max):
     return [norm(v) for v in sums], m_stop
 
 
-def _char_zero_quotient(prob, n_max):
-    """char0's sum ``[X^n] f = sum_m [X^n Y^(m-1)] P^m / m`` as one quotient.
+def _diagonal_quotient(field, terms, n_max: int, char0: bool) -> UniSeries:
+    """char0 and furstenberg: one exact quotient by ``U = 1 - Ph'``.
 
-    In the frame the sum is [Z^n Y^(n-1)] of -log(1 - Ph), so
-    ``[X^n] f = (1/n) [Z^(n-1) Y^(n-1)] Ph_Z / (1 - Ph)``: one exact quotient
-    on the box (n_max - 1, n_max - 1), with the answer on its diagonal.
-    Over Q, with ``e`` from ``_frame_terms``, Z -> e Z and Y -> e Y make the
-    unit ``U = 1 - Ph(eZ, eY)`` and the numerator ``N = e Ph_Z(eZ, eY)``
-    integral, term by term (X^i Y^j gains e^(2i+j-2) on ``v = e * c``, and
-    2i + j >= 2), and ``[X^n] f`` is ``(N / U)[n-1, n-1] / (n e^(2n-1))``.
-    Returns the raw payloads.
+    ``terms`` are P's nonzero ``(i, j, c)``; those with i + j <= n_max
+    reach [X^n] f.  Each becomes a term of ``P' = P(e^2 X, e Y) / e``
+    (``_eisenstein``), then the cell (i, i + j - 1) of Ph' = P'(ZY, Y) / Y.
+    The solution g of g = P'(X, g) is g_n = [Z^n Y^(n-1)] N / U, read off
+    the diagonal of the box (n_max, n_max - 1), and ``_unscale`` turns it
+    into f.  furstenberg's numerator N is ``Dh' = 1 - P'_Y(ZY, Y)``.
+    char0 sums ``Ph'^m / m``, which is ``-log(U)``: its N is ``Z Ph'_Z``,
+    and its g_n carries a factor n.
     """
-    field = prob.field
     if n_max == 0:
-        return [0]
-    e, terms = _frame_terms(prob.p, n_max)
-    terms = [(i, k, v * e ** (i + k - 1)) for i, k, v in terms]
-    unit = [(0, 0, 1)] + [(i, k, -v) for i, k, v in terms]
-    numer = [(i - 1, k, i * v) for i, k, v in terms if i]
-    box = (n_max - 1, n_max - 1)
+        return UniSeries.zero(field, 0)
+    e, terms = _eisenstein([t for t in terms if t[0] + t[1] <= n_max])
+    unit = [(0, 0, 1)] + [(i, i + j - 1, -c) for i, j, c in terms]
+    if char0:
+        numer = [(i, i + j - 1, i * c) for i, j, c in terms if i]
+    else:
+        numer = [(0, 0, 1)] + [(i, i + j - 1, -j * c) for i, j, c in terms if j]
+    box = (n_max, n_max - 1)
     g = BiSeries.from_terms(field, numer, *box) / BiSeries.from_terms(field, unit, *box)
-    # Z^(n-1) Y^(n-1) sits at flat index (n - 1) * (n_max + 1)
-    out, scale = [0], e
-    for n, v in enumerate(g._c[:: n_max + 1], 1):
-        out.append(_demote(Fraction(v, n * scale)))
-        scale *= e * e
-    return out
+    # Z^k Y^(k-1) sits at flat index k * n_max + k - 1
+    return _unscale(field, [0] + g._c[n_max :: n_max + 1], e, char0)
 
 
 def taylor_residual(p: BiSeries, f: UniSeries) -> BiSeries:
@@ -387,58 +395,26 @@ def factor_out_root(rp: RootProblem, f: UniSeries) -> BiSeries:
 def furstenberg_solve(rp: RootProblem, n_max: int) -> UniSeries:
     """Solve Q(X, f) = 0 by the diagonal method.
 
-    In the frame X = Z*Y, [X^k] f is [Z^k Y^(k-1)] of the quotient
-    g = Y * Q_Y(ZY, Y) / Q(ZY, Y), where Q(ZY, Y) / Y is a unit (its
-    constant term is q01), so g is one exact quotient on the box
-    (n_max, n_max - 1).  Requires q on a box of at least (n_max, n_max).
-
-    Over Q the quotient runs on integers.  With e the lcm of the
-    denominators of Q's terms on the box and c0 = e * q01, the terms of
-    e * Q are substituted X -> c0 X, Y -> c0 Y one by one, so the unit
-    U(c0 X, c0 Y) / c0 is integral with constant term 1 and the numerator
-    N(c0 X, c0 Y) is integral.  Their quotient is c0 * g(c0 X, c0 Y), and
-    [X^k] f is its entry at X^k Y^(k-1) over c0^(2k): one ``Fraction`` per
-    coefficient of the answer.  For e = 1 and c0 = +-1 (Catalan, and
-    every P - Y with integral P) the answer needs no division.
+    The root of Q is the fixed point of ``P = Y - Q / q01``, made with one
+    inverse and one pass over Q's nonzero terms.  In the frame X = Z*Y,
+    [X^k] f is then [Z^k Y^(k-1)] of ``Dh / (1 - Ph)``, one exact quotient
+    on the box (n_max, n_max - 1), over Q in Eisenstein's integral frame
+    (``_diagonal_quotient``).  Requires q on a box of at least
+    (n_max, n_max).
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    field = rp.field
-    if n_max == 0:
-        return UniSeries.zero(field, 0)
-    q = rp.q
+    field, q = rp.field, rp.q
     _require_box(q, n_max, n_max, "Q")
-    e, terms = _frame_terms(q, n_max)
-    c0 = 1
-    if not field.characteristic:
-        # e * Q(c0 X, c0 Y), c0 = e * q01: X^i Y^j gains c0^(2i+j-1) = c0^(i+k)
-        c0 = e * q._c[1]  # q01 sits at flat index 1
-        terms = [(i, k, v * c0 ** (i + k)) for i, k, v in terms]
-    # the unit's constant term is c0 / c0 = 1 over Q, the invertible q01
-    # over GF(p); c // c0 is exact
-    unit = [(i, k, c // c0) for i, k, c in terms]
-    numer = [(i, k, (k - i + 1) * c) for i, k, c in terms if k >= i]
-    box = (n_max, n_max - 1)
-    g = BiSeries.from_terms(field, numer, *box) / BiSeries.from_terms(field, unit, *box)
-    # X^k Y^(k-1) sits at flat index k * n_max + k - 1
-    diag = g._c[n_max :: n_max + 1]
-    if c0 * c0 != 1:
-        scale, c2 = 1, c0 * c0
-        for k, v in enumerate(diag):
-            scale *= c2
-            diag[k] = _demote(Fraction(v, scale))
-    return UniSeries._raw(field, [0] + diag)
+    norm = field.normalize
+    r = field.invert(q._c[1])  # q01 sits at flat index 1
+    terms = [(i, j, norm(-c * r)) for i, j, c in q.nonzero_terms() if (i, j) != (0, 1)]
+    return _diagonal_quotient(field, terms, n_max, False)
 
 
 def _implicit_residual_zero(prob: ImplicitProblem, f: UniSeries) -> bool:
     """Whether ``f = P(X, f)`` holds through the order of ``f``."""
     return _working_box(prob.p, f.order).subst_y(f) == f
-
-
-def _as_root_problem(prob: ImplicitProblem, n_max: int) -> RootProblem:
-    """Rewrite f = P(X, f) as the root problem Q = P - Y = 0."""
-    terms = prob.p.nonzero_terms() + [(0, 1, -1)]
-    return RootProblem(BiSeries.from_terms(prob.field, terms, n_max, max(n_max, 1)))
 
 
 def solve_series(prob: ImplicitProblem, n_max: int, method) -> SolveReport:
@@ -458,19 +434,17 @@ def solve_series(prob: ImplicitProblem, n_max: int, method) -> SolveReport:
     if not prob.is_polynomial:  # only terms with i + j <= n_max reach f
         _require_box(prob.p, n_max, n_max)
 
+    char0 = method is SolveMethod.CHAR0
+    if char0 and prob.field.characteristic:
+        raise PositiveCharacteristicError("the char0 method needs characteristic zero")
+
     m_terms = ()
     if method is SolveMethod.FIXED_POINT:
         f = solve_fixed_point(prob, n_max)
-    elif method is SolveMethod.FURSTENBERG:
-        f = furstenberg_solve(_as_root_problem(prob, n_max), n_max)
-    elif method is SolveMethod.CHAR0:
-        if prob.field.characteristic:
-            raise PositiveCharacteristicError(
-                "the char0 method needs characteristic zero"
-            )
-        f = UniSeries._raw(prob.field, _char_zero_quotient(prob, n_max))
-    else:
+    elif method is SolveMethod.THEOREM:
         sums, m_stop = _extraction_vectors(prob, n_max)
         f = UniSeries._raw(prob.field, sums)
         m_terms = tuple(range(1, m_stop + 1))
+    else:
+        f = _diagonal_quotient(prob.field, prob.p.nonzero_terms(), n_max, char0)
     return SolveReport(method, f, _implicit_residual_zero(prob, f), m_terms)

@@ -380,7 +380,7 @@ def test_constant_power_over_q_beyond_the_cap_exits_1(poly):
 
 
 def test_box_beyond_max_box_cells_exits_1():
-    # order 8000 asks for P on a (8000, 15999) box; allocated, it raised
+    # order 8000 asks for P on a (8000, 8000) box; allocated, it raised
     # MemoryError in a 600 MB address space
     result = _capped_process(
         [
@@ -391,7 +391,22 @@ def test_box_beyond_max_box_cells_exits_1():
     )
     assert (result.returncode, result.stdout) == (1, "")
     assert result.stderr == (
-        "error: a truncation box of (8000, 15999) holds 128016000 cells, "
+        "error: a truncation box of (8000, 8000) holds 64016001 cells, "
+        "more than 4194304\n"
+    )
+
+
+def test_solve_lowers_on_the_order_box(capsys):
+    # solve lowers P on (n, n): 2048^2 cells fit under MAX_BOX_CELLS = 2^22,
+    # 2049^2 do not
+    argv = ["solve", "--field", "fp:2", "--poly", "X", "--method", "fixpoint"]
+    code, out, err = run_cli(capsys, *argv, "--order", "2047")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "2047: 0"
+    code, out, err = run_cli(capsys, *argv, "--order", "2048")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: a truncation box of (2048, 2048) holds 4198401 cells, "
         "more than 4194304\n"
     )
 
@@ -512,7 +527,7 @@ def test_option_not_a_nonnegative_integer_exits_2(capsys, argv, option, value):
 
 
 def test_order_of_2151_digits_gets_the_box_message(capsys):
-    # the box (10^2150, 2*10^2150 - 1) holds a cell count of 4301 digits,
+    # the box (10^2150, 10^2150) holds a cell count of 4301 digits,
     # one more than str() prints by default: the message then names only the cap
     def check():
         code, out, err = run_cli(

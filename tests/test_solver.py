@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -625,9 +626,9 @@ def _coprime_implicit_poly(rng, x_order, y_order):
 
 def test_furstenberg_non_unit_linear_term_and_large_box():
     # Q = q01 * (Y - P) for a random implicit P, stored on a box larger
-    # than needed; its root is the fixed point of P.  Over Q, P has
-    # coprime denominators, so the quotient runs on e * Q(c0 X, c0 Y) with
-    # e > 1 and c0 = e * q01, which is not +-1
+    # than needed; its root is the fixed point of P, which furstenberg_solve
+    # recovers as Y - Q / q01.  Over Q, P has coprime denominators, so the
+    # quotient runs on P(e^2 X, e Y) / e with e > 1
     rng = make_rng("furstenberg-non-unit")
     for field, q01 in ((Q, 2), (Q, Fraction(3, 5)), (Q, -7), (PrimeField(7), 3)):
         for n_max in (1, 2, 8):
@@ -645,8 +646,9 @@ def test_furstenberg_non_unit_linear_term_and_large_box():
 
 
 def test_furstenberg_over_q_divides_integers(monkeypatch):
-    # over Q the one quotient sees integers only: e * Q(c0 X, c0 Y) with
-    # e = 210 and c0 = e * 3/5 = 126, while the answer is rational
+    # over Q the one quotient sees integers only: P = Y - Q / q01 =
+    # 5/6 X - 5/9 Y^2 - 10/21 X Y, run as P(e^2 X, e Y) / e with e = 126,
+    # while the answer is rational
     operands = []
     truediv = _Series.__truediv__
 
@@ -665,6 +667,42 @@ def test_furstenberg_over_q_divides_integers(monkeypatch):
     assert all(type(c) is int for s in operands for c in s._c)
     assert f._c[:2] == [0, Fraction(5, 6)]
     assert q.subst_y(f).is_zero()
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        ("1/3*X + 5/7*Y^2 + 1/11*X*Y", 9),
+        ("1/2*X + X*Y - Y^2 + 3/4*X^2*Y^3", 8),
+        ("-2/9*X + 5/6*Y^3 + X^2 + 7/10*X^3*Y^2", 7),
+        ("1/2*X + Y^2 + 1/3*X^5*Y^2", 6),  # X^5 Y^2 lies beyond i + j <= n: e = 2
+    ],
+)
+def test_char0_and_furstenberg_share_the_integral_unit(monkeypatch, text, n):
+    # both methods divide by U = 1 - P'(ZY, Y) / Y for P' = P(e^2 X, e Y) / e,
+    # e the lcm of the denominators of the terms with i + j <= n: lowered,
+    # Y - P'(XY, Y) is Y * U on the box (n, n)
+    p = lower_expression(parse_expression(text, Q), Q, n, n)
+    divisors = []
+    truediv = _Series.__truediv__
+
+    def recording(self, other):
+        divisors.append(other)
+        return truediv(self, other)
+
+    monkeypatch.setattr(_Series, "__truediv__", recording)
+    oracle = linear_fixed_point(ImplicitProblem(p), n)
+    for method in ("char0", "furstenberg"):
+        assert solve_series(ImplicitProblem(p), n, method).solution == oracle
+    unit, other = divisors
+    assert other == unit and all(type(c) is int for c in unit._c)
+    e = math.lcm(*(Fraction(c).denominator for i, j, c in p.nonzero_terms() if i + j <= n))
+    assert e > 1
+    sub = {"X": f"({e}^2*X*Y)", "Y": f"({e}*Y)"}
+    frame = re.sub("[XY]", lambda m: sub[m.group()], text)
+    shifted = lower_expression(parse_expression(f"Y - 1/{e}*({frame})", Q), Q, n, n)
+    terms = [(i, j - 1, c) for i, j, c in shifted.nonzero_terms()]
+    assert unit == BiSeries.from_terms(Q, terms, n, n - 1)
 
 
 # ---------------------------------------------------------------- solve_series
@@ -777,11 +815,22 @@ def test_solve_series_takes_only_implicit_problems():
 
 
 def test_solve_series_furstenberg_wraps_implicit_problems():
-    # --method furstenberg on an implicit problem converts P to Q = P - Y
+    # --method furstenberg on an implicit problem divides in P's own frame
     prob = catalan_problem(F2, 8)
     report = solve_series(prob, 8, SolveMethod.FURSTENBERG)
     assert report.solution._c == [0, 1, 1, 0, 1, 0, 0, 0, 1]
     assert report.residual_zero
+
+
+def test_solve_series_furstenberg_builds_no_root_problem(monkeypatch):
+    # P's terms go straight to the quotient, with no Q = P - Y in between
+    def refuse(*args):
+        raise AssertionError("solve_series built a RootProblem")
+
+    monkeypatch.setattr(RootProblem, "__init__", refuse)
+    for field in (Q, F2, PrimeField(10007)):
+        report = solve_series(catalan_problem(field, 8), 8, SolveMethod.FURSTENBERG)
+        assert report.solution == linear_fixed_point(catalan_problem(field, 8), 8)
 
 
 def test_cross_method_agreement_randomized():
