@@ -21,8 +21,8 @@ and everything else may repeat without bound.  The pass
 converts each literal to the field once and emits postfix code, which
 lowering runs on sparse term maps cut to the box, so its cost follows
 the terms of the expression, not the size of the box; over Q it refuses
-a constant power too large to compute exactly with
-:class:`ConstantPowerTooLargeError`.  Syntax problems
+a power whose constant term or cells would be too large to compute
+exactly with :class:`ConstantPowerTooLargeError`.  Syntax problems
 raise :class:`ExpressionSyntaxError` with the byte offset of the
 offending token; a rational literal that does not denote an element of
 the target field (zero denominator, or denominator divisible by the
@@ -30,6 +30,8 @@ characteristic) raises :class:`LiteralNotInFieldError`.
 """
 
 from __future__ import annotations
+
+from math import log2
 
 from .errors import (
     ConstantPowerTooLargeError,
@@ -39,16 +41,16 @@ from .errors import (
     LiteralNotInFieldError,
 )
 from .fields import Field, _read_int
-from .series import BiSeries, _binary_pow, _check_cells
+from .series import BiSeries, _binary_pow, _check_cells, _integral
 
 _SYMBOLS = set("+-*/^()")
 MAX_PAREN_DEPTH = 100
 # CPython's default limit on int-from-string conversion: a longer digit run
 # is a syntax error before it is read, whatever the interpreter's setting
 MAX_LITERAL_DIGITS = 4300
-# over Q, c^m for a constant term c other than 0 and +-1 is refused when
-# m times the bit length of c's numerator or denominator exceeds this:
-# every later product pays for the size of c^m
+# over Q, a^m is refused when m times the bit length of the numerator or
+# denominator of a's constant term c (not 0 or +-1), or a bound on the bits
+# of any cell of a^m on the box, exceeds this: later products pay for them
 MAX_CONSTANT_POWER_BITS = 1 << 14
 
 
@@ -203,7 +205,8 @@ def lower_expression(code, field: Field, x_order: int, y_order: int) -> BiSeries
     in the quotient ring; ``a^0`` is 1 for every ``a``, including zero.
     Over Q, ``a^m`` raises :class:`ConstantPowerTooLargeError` when the
     constant term of ``a`` is not 0 or +-1 and its m-th power would
-    exceed ``MAX_CONSTANT_POWER_BITS``.  A box of more than
+    exceed ``MAX_CONSTANT_POWER_BITS``, or when a bound on any cell of
+    ``a^m`` on the box would.  A box of more than
     ``series.MAX_BOX_CELLS`` cells raises :class:`BoxTooLargeError` before
     the code runs.
     """
@@ -221,13 +224,23 @@ def lower_expression(code, field: Field, x_order: int, y_order: int) -> BiSeries
         return {key: v for key, c in out.items() if (v := norm(c))}
 
     def power(base, m):
-        # the constant term of base^m is c^m, computed exactly over Q
-        c = base.get((0, 0), 0)
-        if not p and m > 1 and c not in (0, 1, -1):
-            bits = m * max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+        if not p and m > 1:
+            # base = a/b + R/d, R integral without a constant term: on the
+            # box only R^k with k <= K = x_order + y_order remain, so a cell
+            # is at most max(|a|, b)^m (d + m b |R|_1)^K over b^m d^K
+            c = base.get((0, 0), 0)
+            a, b = abs(c.numerator), c.denominator
+            bits = m * max(a.bit_length(), b.bit_length()) if a > 1 or b > 1 else 0
+            what = "a constant term"
+            if bits <= MAX_CONSTANT_POWER_BITS:
+                d, ints = _integral([v for key, v in base.items() if key != (0, 0)])
+                k = min(m, x_order + y_order)
+                cell = k * log2(d + m * b * sum(map(abs, ints)))
+                cell += m * log2(max(a, b)) if bits else 0  # m is small then
+                bits, what = round(cell), "a polynomial"
             if bits > MAX_CONSTANT_POWER_BITS:
                 raise ConstantPowerTooLargeError(
-                    f"a constant term to the power {m} would take about {bits} "
+                    f"{what} to the power {m} would take about {bits} "
                     f"bits, more than {MAX_CONSTANT_POWER_BITS}"
                 )
         if len(base) == 1:

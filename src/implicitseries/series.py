@@ -36,6 +36,10 @@ so a product pays a gcd per result cell, not per term pair.
 its Horner loop adds and multiplies only ints and the result pays one gcd
 per cell.
 
+The exact quotient ``/`` solves a cell at a time (``_cell_quotient``) or,
+over GF(p) from ``_KRON_MIN_QUOTIENT``, a row at a time on ints packed as
+in ``_kron_mul``, one big-int step per divisor term (``_kron_quotient``).
+
 ``zero``, which ``from_terms`` and ``BiSeries.resized`` start from, refuses
 a box of more than ``MAX_BOX_CELLS`` cells with :class:`BoxTooLargeError`
 before allocating it.
@@ -120,6 +124,11 @@ def _top_column(c: list, w: int, top: int, size=None) -> int:
 _KRON_MIN_PAIRS = 1000
 _KRON_CELLS_PER_PAIR = 2
 
+# A quotient of BiSeries over GF(p) goes through ``_kron_quotient`` when
+# the divisor's non-constant terms times the row width reach this: timed on
+# furstenberg's units, the cell recurrence won below 300 and lost above 900.
+_KRON_MIN_QUOTIENT = 600
+
 # The schoolbook loop sums into a dict, not the result list, when the box
 # has more than this many cells per pair of nonzero terms.
 _SPARSE_CELLS_PER_PAIR = 8
@@ -179,14 +188,51 @@ def _kron_mul(p: int, a: list, b: list, w: int, k: int) -> list:
     nb = (2 * (p - 1).bit_length() + k.bit_length() + 7) // 8
     x = _kron_pack(a, w, s, count, nb)
     prod = x * x if b is a else x * _kron_pack(b, w, s, count, nb)
-    raw = prod.to_bytes(max(nb * count, (prod.bit_length() + 7) // 8), "little")
+    out = _kron_unpack(prod, nb, count, p)
+    if s > w:
+        out = list(chain.from_iterable([out[i : i + w] for i in range(0, count, s)]))
+    return out
+
+
+def _kron_unpack(x: int, nb: int, count: int, p: int) -> list:
+    """The first ``count`` slots of ``x``, ``nb`` bytes each, reduced mod
+    ``p``; slots above them are ignored."""
+    raw = x.to_bytes(max(nb * count, (x.bit_length() + 7) // 8), "little")
     slots = _kron_lane(raw, 0, nb, count)
     if nb > 8:  # only near p = 2**31: the sums outgrow 64 bits
         high = _kron_lane(raw, 8, nb, count)
         slots = [lo + (hi << 64) for lo, hi in zip(slots, high)]
-    if s > w:
-        slots = chain.from_iterable([slots[i : i + w] for i in range(0, count, s)])
     return list(map(p.__rmod__, slots))
+
+
+def _kron_quotient(field, a: list, u: list, w: int) -> list:
+    """The quotient ``a / u`` of payload lists over GF(p), row by row on
+    ints packed ``nb`` bytes per Y-slot: ``g_i = inv0 * (a_i + sum (p -
+    u_kl) Y^l g_(i-k))`` over the T nonzero cells of u with 1 <= k <= i,
+    with ``inv0 = 1 / u_0 mod Y^w``.  A slot sums at most T + 1 terms below
+    ``(p - 1)^2``, or w in the product by ``inv0``, which a constant
+    ``u_0`` skips by scaling a and the cells instead."""
+    p = field.characteristic
+    cells = [(t // w, t % w, u[t]) for t in compress(range(w, len(u)), u[w:])]
+    row0 = [(t, 0, u[t]) for t in compress(range(1, w), u[1:w])]
+    inv0 = _cell_quotient(field, [1] + [0] * (w - 1), u[0], row0, 1)
+    scale = 1 if row0 else inv0[0]
+    nb = ((max(len(cells) + 1, w) * (p - 1) ** 2).bit_length() + 7) // 8
+    cells = [(k, 8 * nb * l, (p - v) * scale % p) for k, l, v in cells]
+    packed_inv = _kron_pack(inv0, w, w, w, nb)
+    rows, out = [], []
+    for i in range(0, len(a), w):
+        acc = scale * _kron_pack(a[i : i + w], w, w, w, nb)
+        for k, shift, v in cells:
+            if k > len(rows):
+                break
+            acc += v * (rows[-k] << shift)  # rows[-k] is row i - k
+        g = _kron_unpack(acc, nb, w, p)
+        if row0:
+            g = _kron_unpack(_kron_pack(g, w, w, w, nb) * packed_inv, nb, w, p)
+        rows.append(_kron_pack(g, w, w, w, nb))
+        out += g
+    return out
 
 
 def _integral(values: list):
@@ -274,6 +320,26 @@ def _product(x, y):
     return x._raw(field, out, w)
 
 
+def _cell_quotient(field, v: list, c0, terms: list, w: int) -> list:
+    """``v`` (overwritten) divided cell by cell by the divisor with constant
+    ``c0`` and non-constant ``terms``, ``(flat index, column, payload)``."""
+    # a term X^k Y^l reaches cell X^i Y^j when its flat index is at most
+    # the cell's and l <= j (which then forces k <= i)
+    r, norm = field.invert(c0), field.normalize
+    for p in range(len(v)):
+        j = p % w
+        s = v[p]
+        for t, l, ct in terms:
+            if t > p:
+                break
+            if l <= j:
+                x = v[p - t]
+                if x:
+                    s -= ct * x
+        v[p] = norm(r * s) if s else 0
+    return v
+
+
 class _Series:
     """Flat coefficient storage and the coefficientwise ring operations.
 
@@ -345,36 +411,23 @@ class _Series:
 
         The divisor's constant term must be a unit.  Starting from the
         dividend, the cells are solved in flat (row-major) order from
-        ``other * q == self``, so ``other * (self / other)`` is exactly
-        ``self`` on the shape.  For a ``UniSeries`` (``w == 1``) every
-        term passes the column test and this is the usual power series
-        division.
+        ``other * q == self`` (``_cell_quotient``), so ``other * (self /
+        other)`` is exactly ``self`` on the shape.  For a ``UniSeries``
+        (``w == 1``) this is the usual power series division.  Over GF(p),
+        a ``BiSeries`` divisor whose non-constant terms times ``w`` reach
+        ``_KRON_MIN_QUOTIENT`` is solved a row at a time on packed ints
+        (``_kron_quotient``), with the same result.
         """
         self._check_op(other)
         c = other._c
         if not c[0]:
             raise NotAUnitError("constant term is zero, series is not a unit")
-        field = self.field
-        r = field.invert(c[0])
-        w = self._w
-        # (flat index, column, payload) of the divisor's non-constant
-        # terms; a term X^k Y^l reaches cell X^i Y^j when its flat index
-        # is at most the cell's and l <= j (which then forces k <= i)
+        field, w = self.field, self._w
+        # (flat index, column, payload) of the divisor's non-constant terms
         terms = [(t, t % w, c[t]) for t in other._support() if t]
-        norm = field.normalize
-        v = list(self._c)
-        for p in range(len(v)):
-            j = p % w
-            s = v[p]
-            for t, l, ct in terms:
-                if t > p:
-                    break
-                if l <= j:
-                    x = v[p - t]
-                    if x:
-                        s -= ct * x
-            v[p] = norm(r * s) if s else 0
-        return self._raw(field, v, w)
+        if field.characteristic and w > 1 and len(terms) * w >= _KRON_MIN_QUOTIENT:
+            return self._raw(field, _kron_quotient(field, self._c, c, w), w)
+        return self._raw(field, _cell_quotient(field, list(self._c), c[0], terms, w), w)
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):

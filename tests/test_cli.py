@@ -379,6 +379,18 @@ def test_constant_power_over_q_beyond_the_cap_exits_1(poly):
     assert result.stderr.count("\n") == 1
 
 
+def test_power_with_large_cells_over_q_exits_1(capsys):
+    # the constant term 1 passes the constant cap, but the power's cells on
+    # the box would reach about 24 * 2000 bits
+    poly = "X + Y^2*(1+2^2000*X+Y)^99"
+    code, out, err = run_cli(capsys, "solve", "--field", "q", "--poly", poly, "--order", "12")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: a polynomial to the power 99 would take about 48159 bits, "
+        "more than 16384\n"
+    )
+
+
 def test_box_beyond_max_box_cells_exits_1():
     # order 8000 asks for P on a (8000, 8000) box; allocated, it raised
     # MemoryError in a 600 MB address space

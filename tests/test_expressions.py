@@ -176,6 +176,25 @@ def test_constant_powers_over_q_capped():
     )
 
 
+def test_whole_powers_over_q_capped():
+    # over Q, every cell of a^m on the box is bounded, not only its constant
+    # term: (1 + 2^2000 X)^m holds 2^(2000 m) at X^m, 16000 bits for m = 8
+    assert lower("(1 + 2^2000*X)^8", Q, 12, 12).coeff(8, 0).value == 2**16000
+    for text, m in [
+        ("(1 + 2^2000*X)^9", 9),
+        ("X + Y^2*(1 + 2^2000*X + Y)^99", 99),
+        ("(2^4000*X)^2000", 2000),
+        ("(1 + X + Y)^99999999999", 99999999999),
+    ]:
+        with pytest.raises(ConstantPowerTooLargeError) as e:
+            lower(text, Q, 12, 2047)
+        assert str(e.value).startswith(f"a polynomial to the power {m} would take ")
+    # only the powers of the non-constant part that reach the box count
+    assert lower("(1 + 2^2000*X)^99999999999", Q, 0, 7) == lower("1", Q, 0, 7)
+    two = pow(2, 2000, 7)
+    assert lower("(1 + 2^2000*X)^9", F7) == lower(f"(1 + {two}*X)^9", F7)
+
+
 def test_literals_validated_against_field():
     with pytest.raises(LiteralNotInFieldError) as e:
         parse_expression("X + 1/2*Y^2", F2)

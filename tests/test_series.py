@@ -760,6 +760,115 @@ def test_quotient_stores_integral_rationals_as_ints():
     assert (u * u) / u == u
 
 
+@pytest.fixture
+def packed_quotients(monkeypatch):
+    """The divisors of every ``_kron_quotient`` call the test makes."""
+    calls = []
+    kernel = series._kron_quotient
+    monkeypatch.setattr(
+        series,
+        "_kron_quotient",
+        lambda field, a, u, w: calls.append(u) or kernel(field, a, u, w),
+    )
+    return calls
+
+
+def _both_quotients(monkeypatch, a, u):
+    """``a / u`` by the cell recurrence and by the packed rows."""
+    out = []
+    for bound in (float("inf"), 0):
+        monkeypatch.setattr(series, "_KRON_MIN_QUOTIENT", bound)
+        out.append(a / u)
+    return out
+
+
+PACKED_PRIMES = [PrimeField(p) for p in (2, 3, 10007, 2**31 - 1)]
+
+
+def test_packed_quotient_matches_the_cell_recurrence(monkeypatch, packed_quotients):
+    rng = make_rng("packed-quotient")
+    for field in PACKED_PRIMES:
+        p = field.characteristic
+        top = p - 1
+
+        def cells(nx, ny, value):
+            return [(i, j, value()) for i in range(nx + 1) for j in range(ny + 1)]
+
+        def const(c, nx, ny):
+            # c at the origin, random rows 1 and 3, nothing else in row 0
+            terms = [(0, 0, c)] + [
+                (i, j, rng.randrange(p)) for i in (1, 3) for j in range(ny + 1)
+            ]
+            return BiSeries.from_terms(field, terms, nx, ny)
+
+        worst = BiSeries.from_terms(field, cells(9, 11, lambda: top), 9, 11)
+        # a quotient of p - 1 in every cell by a divisor of ones makes each
+        # packed slot sum T + 1 products (p - 1)^2, the bound nb must hold
+        ones = BiSeries.from_terms(field, cells(9, 11, lambda: 1), 9, 11)
+        below = cells(9, 11, lambda: 1)[12:]  # rows 1 to 9, for a constant u_0
+        ones_u0 = BiSeries.from_terms(field, [(0, 0, 1)] + below, 9, 11)
+        # 1 / (1 + Y) alternates 1 and p - 1: its product with a row of p - 1
+        # sums about w / 2 products (p - 1)^2 per slot, more than T + 1
+        alt = BiSeries.from_terms(field, [(0, 0, 1), (0, 1, 1), (1, 0, 1)], 1, 199)
+        wide = BiSeries.from_terms(field, cells(1, 199, lambda: top), 1, 199)
+        terms = cells(6, 20, lambda: rng.randrange(p))
+        # a unit whose row 0 has a Y term
+        terms[0], terms[3] = (0, 0, rng.randrange(1, p)), (0, 3, rng.randrange(1, p))
+        dense = BiSeries.from_terms(field, terms, 6, 20)
+        cases = [
+            (worst, worst),  # every cell at p - 1, u_0 with Y terms
+            (ones * worst, ones),
+            (ones_u0 * worst, ones_u0),
+            (alt * wide, alt),
+            (random_biseries(rng, field, 6, 20), dense),
+            (random_biseries(rng, field, 5, 7), const(top, 5, 7)),  # u_0 = p - 1
+            (random_biseries(rng, field, 5, 7), const(1, 5, 7)),
+            (random_biseries(rng, field, 0, 9), dense.resized(0, 9)),  # x_order 0
+            (BiSeries.zero(field, 6, 20), dense),
+            (random_biseries(rng, field, 3, 129), worst.resized(3, 129)),  # w >= 128
+        ]
+        for a, u in cases:
+            packed_quotients.clear()
+            by_cells, by_rows = _both_quotients(monkeypatch, a, u)
+            assert packed_quotients == [u._c]
+            assert by_rows._c == by_cells._c
+            assert u * by_rows == a
+
+
+def test_packed_quotient_guards(monkeypatch, packed_quotients):
+    for field in PACKED_PRIMES:
+        a = BiSeries.from_terms(field, [(0, 0, 1), (2, 3, 1)], 4, 5)
+        for bound in (float("inf"), 0):
+            monkeypatch.setattr(series, "_KRON_MIN_QUOTIENT", bound)
+            with pytest.raises(NotAUnitError):
+                a / BiSeries.from_terms(field, [(0, 1, 1), (1, 0, 1)], 4, 5)
+            with pytest.raises(ShapeMismatchError):
+                a / BiSeries.from_terms(field, [(0, 0, 1)], 4, 6)
+    assert packed_quotients == []
+
+
+def test_packed_quotient_runs_only_where_it_pays(packed_quotients):
+    rng = make_rng("packed-dispatch")
+    fp = PrimeField(10007)
+
+    def unit(field, n, pairs):
+        # furstenberg's divisor for P = sum of X^i Y^j over pairs, at order n
+        terms = [(i, i + j - 1, rng.randrange(1, 10007)) for i, j in pairs]
+        return BiSeries.from_terms(field, [(0, 0, 1)] + terms, n, n - 1)
+
+    dense = [(i, j) for i in range(7) for j in range(7) if i + j > 1 or i]
+    small = unit(fp, 64, [(1, 0), (0, 2)])
+    assert len(small._support()) == 3
+    small.reciprocal()
+    for field in (Q, fp):
+        wide = unit(field, 32, dense)
+        assert len(wide._support()) == 48
+        wide.reciprocal()
+    u = UniSeries(fp, [rng.randrange(1, 10007) for _ in range(800)])
+    u / u
+    assert packed_quotients == [wide._c]
+
+
 def test_diagonal():
     p = BiSeries.from_terms(Q, [(0, 0, 2), (1, 1, 3), (2, 2, 4), (1, 2, 9)], 3, 2)
     assert p.diagonal()._c == [2, 3, 4]  # order min(3, 2)
