@@ -206,13 +206,17 @@ def lower_expression(code, field: Field, x_order: int, y_order: int) -> BiSeries
     Over Q, ``a^m`` raises :class:`ConstantPowerTooLargeError` when the
     constant term of ``a`` is not 0 or +-1 and its m-th power would
     exceed ``MAX_CONSTANT_POWER_BITS``, or when a bound on any cell of
-    ``a^m`` on the box would.  A box of more than
+    ``a^m`` on the box would.  With ``a = c + R``, c its constant term, an
+    exponent m above K = x_order + y_order lowers as the sum of
+    ``C(m, k) c^(m-k) R^k`` over k <= K, so its cost does not grow with
+    m; smaller exponents square and multiply.  A box of more than
     ``series.MAX_BOX_CELLS`` cells raises :class:`BoxTooLargeError` before
     the code runs.
     """
     _check_cells(x_order, y_order)
     norm = field.normalize
     p = field.characteristic
+    big = x_order + y_order  # K: every cell has total degree at most K
 
     def product(a, b):
         out = {}
@@ -234,7 +238,7 @@ def lower_expression(code, field: Field, x_order: int, y_order: int) -> BiSeries
             what = "a constant term"
             if bits <= MAX_CONSTANT_POWER_BITS:
                 d, ints = _integral([v for key, v in base.items() if key != (0, 0)])
-                k = min(m, x_order + y_order)
+                k = min(m, big)
                 cell = k * log2(d + m * b * sum(map(abs, ints)))
                 cell += m * log2(max(a, b)) if bits else 0  # m is small then
                 bits, what = round(cell), "a polynomial"
@@ -248,7 +252,32 @@ def lower_expression(code, field: Field, x_order: int, y_order: int) -> BiSeries
             if i * m > x_order or j * m > y_order:
                 return {}
             return {(i * m, j * m): pow(c, m, p) if p else c**m}
-        return _binary_pow(base, m, {(0, 0): 1}, product)
+        if m <= big:
+            return _binary_pow(base, m, {(0, 0): 1}, product)
+        # base = c + R, R without a constant term: R^k vanishes on the box
+        # past k = K, so a^m = sum_(k <= K) C(m, k) c^(m-k) R^k.  Over GF(p),
+        # C(m, k) = C(m mod p^s, k) mod p for the least p^s > K (Lucas),
+        # which keeps the binomials small
+        c = base.pop((0, 0), 0)
+        if not c:
+            return {}
+        ps = p or m + 1  # over Q, m mod ps is m
+        while ps <= big:
+            ps *= p
+        m_mod = m % ps
+        cm, inv = pow(c, m, p) if p else c**m, field.invert(c)
+        out, rk, binom = {}, {(0, 0): 1}, 1
+        for k in range(big + 1):
+            if k:
+                rk = product(rk, base)
+                if not rk:
+                    break
+                binom = binom * (m_mod - k + 1) // k
+            scale = norm(binom * cm)
+            for key, v in rk.items():
+                out[key] = out.get(key, 0) + scale * v
+            cm = norm(cm * inv)
+        return {key: v for key, s in out.items() if (v := norm(s))}
 
     values = []  # operands awaiting the operator that consumes them
     for op, arg in code:

@@ -32,9 +32,11 @@ always multiplies ints: a factor that holds a ``Fraction`` is scaled to
 integers over the lcm of its denominators (``_integral``), and each
 result cell becomes one ``Fraction`` over the product of the two lcms,
 so a product pays a gcd per result cell, not per term pair.
-``BiSeries.subst_y`` over Q scales its two operands the same way once, so
-its Horner loop adds and multiplies only ints and the result pays one gcd
-per cell.
+``BiSeries._horner`` runs Horner's scheme for ``Y = f`` and yields each
+partial sum as integers over one denominator: over Q it scales its two
+operands the same way once, so it adds and multiplies only ints.
+``subst_y`` divides the last partial sum once (``_over``), one gcd per
+cell; ``solver.factor_out_root`` keeps them all as its cofactor.
 
 The exact quotient ``/`` solves a cell at a time (``_cell_quotient``) or,
 over GF(p) from ``_KRON_MIN_QUOTIENT``, a row at a time on ints packed as
@@ -246,6 +248,15 @@ def _integral(values: list):
     # another size, so each call would keep one more tuple alive
     den = lcm(*[v.denominator for v in values])
     return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _over(ints: list, den: int) -> list:
+    """The payloads ``v / den`` of integers ``v`` over one denominator, each
+    one normalized ``Fraction``, an int when integral; ``ints`` itself
+    when ``den == 1``."""
+    if den == 1:
+        return ints
+    return [_demote(Fraction(v, den)) if v else 0 for v in ints]
 
 
 def _product(x, y):
@@ -639,16 +650,29 @@ class BiSeries(_Series):
         )
 
     def subst_y(self, f: UniSeries) -> UniSeries:
-        """Substitute ``Y = f(X)``, by Horner evaluation over the columns.
+        """Substitute ``Y = f(X)``: the last of Horner's partial sums
+        (``_horner``), divided once.
 
         Requires ``f(0) = 0`` (so the substitution respects truncation)
         and ``f.order >= x_order``.  The result has order ``x_order``.
+        """
+        for ints, den in self._horner(f):
+            pass  # hold one partial sum at a time
+        return UniSeries._raw(self.field, _over(ints, den))
+
+    def _horner(self, f: UniSeries):
+        """Horner's scheme for ``Y = f(X)`` over the columns ``C_j``, from
+        the highest nonzero one, ``top``, down: yields each partial sum
+        ``h_top = C_top``, ``h_j = C_j + f * h_(j+1)``, ..., ``h_0 =
+        self(X, f)`` as ``(ints, den)``, the payloads ``_over(ints, den)``.
+        Kept, the partial sums are synthetic division by ``Y - f``: h_top
+        ... h_1 are the cofactor's columns top - 1 ... 0 and h_0 is the
+        remainder.  Checks f as ``subst_y`` states.
 
         Over Q, Horner runs on integers.  With ``f = F / d`` and this
         series ``C / e`` (``_integral`` on f and on this series' support),
-        ``acc <- acc * F + d^(top - j) * C_j`` from the top nonzero column
-        down ends at ``e * d^top`` times the answer, which then becomes one
-        ``Fraction`` per cell; with ``d = e = 1`` the ints are the answer.
+        ``acc <- acc * F + d^(top - j) * C_j`` holds ``den = e * d^(top -
+        j)`` times ``h_j``; over GF(p), ``den = 1``.
         """
         if not isinstance(f, UniSeries):
             raise TypeError(f"expected a UniSeries, got {type(f).__name__}")
@@ -681,19 +705,15 @@ class BiSeries(_Series):
                 for t, v in zip(nz, ints):
                     c[t] = v
         norm = field.normalize
-        acc = UniSeries._raw(field, c[top::w])
-        scale = 1
+        acc, scale = c[top::w], 1
+        yield acc, e
         for j in range(top - 1, -1, -1):
             scale *= d
-            out = (acc * fx)._c  # a fresh list: adding in place is safe
+            acc = (UniSeries._raw(field, acc) * fx)._c  # a fresh list
             col = c[j::w]
             for k in compress(range(len(col)), col):
-                out[k] = norm(out[k] + scale * col[k])
-            acc = UniSeries._raw(field, out)
-        den = e * scale
-        if den == 1:
-            return acc
-        return UniSeries._raw(field, [_demote(Fraction(v, den)) if v else 0 for v in acc._c])
+                acc[k] = norm(acc[k] + scale * col[k])
+            yield acc, e * scale
 
     def reciprocal(self) -> "BiSeries":
         """Multiplicative inverse on the same box: ``one / self``."""

@@ -41,7 +41,7 @@ e the lcm of the denominators, and read f_k = g_k / e^(2k-1) off its
 solution g (``_unscale``).  The theorem's sweep takes d * P, d the lcm,
 weights its terms by integer powers of d and divides each sum once; and
 ``BiSeries.subst_y``, which the residual check calls on the original P,
-runs Horner on integers.
+and ``factor_out_root`` run one Horner on integers.
 
 ``solve_series`` is the single entry point that runs any of them on an
 ``ImplicitProblem`` and re-substitutes the result into its equation;
@@ -51,7 +51,8 @@ runs Horner on integers.
 ``taylor_residual`` checks the finite Taylor-style expansion of P
 around a substituted series (with Hasse derivatives supplying the
 divided powers), and ``factor_out_root`` splits off an exact root by
-synthetic division.
+synthetic division, which is ``subst_y``'s Horner with the partial sums
+kept (``BiSeries._horner``).
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from .errors import (
     ZeroLinearYTermError,
 )
 from .fields import _demote
-from .series import BiSeries, UniSeries, _integral, _top_column
+from .series import BiSeries, UniSeries, _integral, _over, _top_column
 
 
 class SolveMethod(enum.Enum):
@@ -302,10 +303,8 @@ def _extraction_vectors(prob, n_max):
             if cur.is_zero():
                 m_stop = m
                 break  # all later powers vanish on the box too
-    if den > 1:
-        scale = den ** (m_top + 1)
-        return [_demote(Fraction(v, scale)) for v in sums], m_stop
-    return [norm(v) for v in sums], m_stop
+    # over GF(p), den is 1 and norm reduces the sums
+    return [norm(v) for v in _over(sums, den ** (m_top + 1))], m_stop
 
 
 def _diagonal_quotient(field, terms, n_max: int, char0: bool) -> UniSeries:
@@ -361,35 +360,29 @@ def taylor_residual(p: BiSeries, f: UniSeries) -> BiSeries:
 def factor_out_root(rp: RootProblem, f: UniSeries) -> BiSeries:
     """Divide Q exactly by (Y - f), returning the cofactor R.
 
-    Synthetic division in Y over truncated series in X; the remainder
-    is Q(X, f(X)) and must vanish on the working precision, otherwise
-    ``NotARootError`` is raised.  The result lives on the box
-    ``(min(q.x_order, f.order), q.y_order - 1)`` and satisfies
-    ``(Y - f) * R = Q`` there.
+    Synthetic division in Y over truncated series in X is Horner's
+    scheme for Q(X, f) with the partial sums kept (``BiSeries._horner``):
+    h_top ... h_1 are R's columns top - 1 ... 0, and the remainder h_0 =
+    Q(X, f(X)) must vanish on the working precision, otherwise
+    ``NotARootError`` is raised.  f must vanish at the origin.  The
+    result lives on the box ``(min(q.x_order, f.order), q.y_order - 1)``
+    and satisfies ``(Y - f) * R = Q`` there.
     """
     q = rp.q
     if f.field != q.field:
         raise FieldMismatchError(
             f"root over {f.field.tag} for a polynomial over {q.field.tag}"
         )
-    if f._c[0]:
-        raise NonzeroConstantTermError("the root must vanish at the origin")
     nx = min(q.x_order, f.order)
-    ny = q.y_order
-    qw = q.resized(nx, ny)
-    fw = f.resized(nx)
-    cols = [qw.column(j) for j in range(ny + 1)]
-    r = [None] * ny
-    r[ny - 1] = cols[ny]
-    for j in range(ny - 1, 0, -1):
-        r[j - 1] = cols[j] + fw * r[j]
-    remainder = cols[0] + fw * r[0]
-    if not remainder.is_zero():
+    *sums, (remainder, _) = q.resized(nx, q.y_order)._horner(f)
+    if any(remainder):
         raise NotARootError(
             "substituting the claimed root into Q leaves a nonzero remainder"
         )
-    terms = [(i, j, c) for j, col in enumerate(r) for i, c in enumerate(col._c) if c]
-    return BiSeries.from_terms(q.field, terms, nx, ny - 1)
+    r = BiSeries.zero(q.field, nx, q.y_order - 1)
+    for j, (ints, den) in enumerate(reversed(sums)):
+        r._c[j :: r._w] = _over(ints, den)
+    return r
 
 
 def furstenberg_solve(rp: RootProblem, n_max: int) -> UniSeries:

@@ -117,22 +117,46 @@ def random_root_poly(rng, field, x_order, y_order, max_degree=4, n_terms=3):
     return BiSeries.from_terms(field, terms, x_order, y_order)
 
 
+def _fraction_step(field, col, fc, acc):
+    """``col + f * acc`` through the order of ``col``, on the field's
+    payloads, each term pair multiplied and added and normalized on its
+    own: over Q on ``Fraction``s, with none of the series layer's scaling
+    to integers.  ``fc`` holds f's coefficients."""
+    norm = field.normalize
+    nx = len(col) - 1
+    out = list(col)
+    for a, x in enumerate(acc):
+        for b in range(nx + 1 - a):
+            out[a + b] = norm(out[a + b] + norm(x * fc[b]))
+    return out
+
+
 def fraction_horner(p, f):
-    """The payloads of ``p.subst_y(f)`` by Horner over P's columns on the
-    field's payloads, each term pair multiplied and added and normalized on
-    its own: over Q on ``Fraction``s, with none of the series layer's
-    scaling to integers.  Reads f through ``p.x_order``."""
-    norm = p.field.normalize
-    nx = p.x_order
-    fc = f._c[: nx + 1]
-    acc = [0] * (nx + 1)
+    """The payloads of ``p.subst_y(f)`` by Horner over P's columns, one
+    ``_fraction_step`` per column.  Reads f through ``p.x_order``."""
+    fc = f._c[: p.x_order + 1]
+    acc = [0] * (p.x_order + 1)
     for j in range(p.y_order, -1, -1):
-        prod = [0] * (nx + 1)
-        for a, x in enumerate(acc):
-            for b in range(nx + 1 - a):
-                prod[a + b] = norm(prod[a + b] + norm(x * fc[b]))
-        acc = [norm(s + c) for s, c in zip(prod, p._c[j :: p._w])]
+        acc = _fraction_step(p.field, p._c[j :: p._w], fc, acc)
     return acc
+
+
+def synthetic_division(q, f):
+    """``(r, remainder)``: Q divided by ``Y - f`` as payload lists, by the
+    textbook synthetic division on the columns C_j of Q on the box (nx,
+    ny), nx = min(q.x_order, f.order): ``r[ny-1] = C_ny`` and ``r[j-1] =
+    C_j + f * r[j]``, one ``_fraction_step`` each, and the remainder is
+    ``C_0 + f * r[0]``.  ``r`` is row-major on the box (nx, ny - 1), as
+    ``factor_out_root``'s cofactor stores it."""
+    nx, ny = min(q.x_order, f.order), q.y_order
+    fc = f._c[: nx + 1]
+    cols = [q._c[j :: q._w][: nx + 1] for j in range(ny + 1)]
+    r = [None] * ny
+    r[ny - 1] = cols[ny]
+    for j in range(ny - 1, 0, -1):
+        r[j - 1] = _fraction_step(q.field, cols[j], fc, r[j])
+    remainder = _fraction_step(q.field, cols[0], fc, r[0])
+    return [r[j][i] for i in range(nx + 1) for j in range(ny)], remainder
 
 
 def embed_x(f, y_order):

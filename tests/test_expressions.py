@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from implicitseries import (
 from implicitseries.expressions import MAX_CONSTANT_POWER_BITS, MAX_LITERAL_DIGITS
 from implicitseries.series import MAX_BOX_CELLS
 
-from conftest import FIELDS, make_rng, with_and_without_int_digit_limit
+from conftest import FIELDS, make_rng, random_value, with_and_without_int_digit_limit
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -193,6 +194,57 @@ def test_whole_powers_over_q_capped():
     assert lower("(1 + 2^2000*X)^99999999999", Q, 0, 7) == lower("1", Q, 0, 7)
     two = pow(2, 2000, 7)
     assert lower("(1 + 2^2000*X)^9", F7) == lower(f"(1 + {two}*X)^9", F7)
+
+
+def _random_base(rng, field, nx, ny):
+    """Postfix code and its series for a random sum of two to four terms
+    c X^i Y^j with i <= nx, j <= ny, often with a constant term."""
+    terms = [(0, 0, random_value(rng, field))] if rng.random() < 0.7 else []
+    for _ in range(rng.randint(1, 3)):
+        terms.append((rng.randint(0, nx), rng.randint(0, ny), random_value(rng, field)))
+    text = " + ".join(f"({c})*X^{i}*Y^{j}" for i, j, c in terms)
+    code = parse_expression(text, field)
+    return code, lower_expression(code, field, nx, ny)
+
+
+def test_powers_beyond_the_box_degree_match_repeated_products():
+    # for m > K = x_order + y_order, lowering sums C(m, k) c^(m-k) R^k over
+    # k <= K instead of squaring: it must equal BiSeries.pow
+    rng = make_rng("power-binomial-sum")
+    for field in (Q, F2, PrimeField(3), PrimeField(5), PrimeField(10007)):
+        for _ in range(80):
+            nx, ny = rng.randint(0, 3), rng.randint(0, 3)
+            code, a = _random_base(rng, field, nx, ny)
+            m = nx + ny + rng.randint(1, 40)
+            got = lower_expression(code + [("^", m)], field, nx, ny)
+            assert got == a.pow(m), (field.tag, code, m)
+
+
+def test_powers_with_huge_exponents_lower_quickly():
+    # the period of a^m on the (4, 4) box over GF(3) divides 18: a unit
+    # constant c has c^2 = 1, and (c + R)^9 = c^9 + R^9 = c there
+    f3 = PrimeField(3)
+    rng = make_rng("power-huge-exponent")
+    m = 10**4000 + 7
+    for _ in range(20):
+        code, a = _random_base(rng, f3, 4, 4)
+        assert lower_expression(code + [("^", m)], f3, 4, 4) == a.pow(m % 18)
+    # Lucas: C(10^4000, k) mod p from 10^4000 mod p^s
+    f = PrimeField(10007)
+    big = lower_expression(parse_expression("1+X", f) + [("^", 10**4000)], f, 2047, 2047)
+    assert len(big.nonzero_terms()) == 2048
+    assert [big.coeff(k, 0).value for k in range(6)] == [
+        math.comb(10**4000, k) % 10007 for k in range(6)
+    ]
+    # (1 + X + Y)^m holds C(m, a + b) C(a + b, a) at X^a Y^b; squaring full
+    # (100, 100) term maps about 37 times did not finish in 20 s
+    m = 99999999999
+    for field in (Q, f):
+        p = lower("X + Y^2*(1+X+Y)^99999999999", field, 100, 100)
+        assert p.coeff(1, 0).value == 1
+        for a, b in ((0, 0), (3, 5), (40, 58), (98, 0)):
+            expected = math.comb(m, a + b) * math.comb(a + b, a)
+            assert p.coeff(a, b + 2).value == field.normalize(expected)
 
 
 def test_literals_validated_against_field():

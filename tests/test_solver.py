@@ -46,6 +46,7 @@ from conftest import (
     random_root_poly,
     random_uniseries,
     random_value,
+    synthetic_division,
     tail_term_count,
 )
 
@@ -561,6 +562,56 @@ def test_factorization_round_trip_randomized():
             r = factor_out_root(rp, f)
             y_minus_f = BiSeries.from_terms(field, [(0, 1, 1)], 8, 7) - embed_x(f, 7)
             assert (y_minus_f.resized(8, 8) * r.resized(8, 8)) == q
+
+
+def test_factor_out_root_matches_synthetic_division():
+    # factor_out_root keeps the partial sums of subst_y's Horner, over Q on
+    # integers over e * d^(top - j): the textbook division on Fractions must
+    # give the same payloads, and its remainder must vanish
+    rng = make_rng("factor-synthetic-division")
+
+    def value(field):
+        if field.characteristic:
+            return rng.randrange(1, field.characteristic)
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((2, 3, 5, 7)))
+
+    def root_poly(field, n, ny, top, with_x=True):
+        # q01 and X (unless f = 0 is wanted), then terms up to column top
+        terms = [(0, 1, value(field))] + [(1, 0, value(field))] * with_x
+        for _ in range(4):
+            i, j = rng.randint(0, 3), rng.randint(1 - with_x, top)
+            if (i, j) not in ((0, 0), (0, 1)):
+                terms.append((i, j, value(field)))
+        return BiSeries.from_terms(field, terms, n, ny)
+
+    def check(q, f):
+        r = factor_out_root(RootProblem(q), f)
+        expected, remainder = synthetic_division(q, f)
+        assert not any(remainder)
+        assert r.x_order == min(q.x_order, f.order) and r.y_order == q.y_order - 1
+        assert repr(r._c) == repr(expected), (q, f)
+        with pytest.raises(NotARootError):
+            wrong = f._c[:]
+            wrong[1] = q.field.normalize(wrong[1] + 1)
+            factor_out_root(RootProblem(q), UniSeries(q.field, wrong))
+        with pytest.raises(NonzeroConstantTermError):
+            factor_out_root(RootProblem(q), UniSeries(q.field, [1] + f._c[1:]))
+
+    n = 7
+    for field in (Q, F2, PrimeField(10007), PrimeField(2**31 - 1)):
+        for ny, top in ((n, 3), (1, 1), (4, 4)):  # top < y_order, y_order = 1
+            q = root_poly(field, n, ny, top)
+            f = furstenberg_solve(RootProblem(q.resized(n, n)), n)
+            if not field.characteristic:
+                assert {type(c) for c in f._c[1:]} >= {Fraction}
+            check(q, f)
+            check(q.resized(n - 3, ny), f)  # f.order above q.x_order
+            check(q, f.resized(n - 3))  # and below
+        # f = 0: every term of Q carries Y
+        q = root_poly(field, n, 3, 3, with_x=False)
+        f = furstenberg_solve(RootProblem(q.resized(n, n)), n)
+        assert f.is_zero()
+        check(q, f)
 
 
 # ---------------------------------------------------------------- furstenberg
