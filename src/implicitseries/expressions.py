@@ -20,9 +20,11 @@ costs interpreter stack; parentheses nest at most ``MAX_PAREN_DEPTH``
 and everything else may repeat without bound.  The pass
 converts each literal to the field once and emits postfix code, which
 lowering runs on sparse term maps cut to the box, so its cost follows
-the terms of the expression, not the size of the box; over Q it refuses
-a power whose constant term or cells would be too large to compute
-exactly with :class:`ConstantPowerTooLargeError`.  Syntax problems
+the terms it multiplies, not the size of the box.  A power is one
+binomial sum (see :func:`lower_expression`) whose cost stops growing at
+the exponent x_order + y_order; over Q lowering refuses a power whose
+constant term or cells would be too large to compute exactly with
+:class:`ConstantPowerTooLargeError`.  Syntax problems
 raise :class:`ExpressionSyntaxError` with the byte offset of the
 offending token; a rational literal that does not denote an element of
 the target field (zero denominator, or denominator divisible by the
@@ -41,7 +43,7 @@ from .errors import (
     LiteralNotInFieldError,
 )
 from .fields import Field, _read_int
-from .series import BiSeries, _binary_pow, _check_cells, _integral
+from .series import BiSeries, _check_cells, _integral
 
 _SYMBOLS = set("+-*/^()")
 MAX_PAREN_DEPTH = 100
@@ -200,16 +202,16 @@ def lower_expression(code, field: Field, x_order: int, y_order: int) -> BiSeries
     Every intermediate value is a sparse term map ``{(i, j): payload}``
     holding only nonzero, normalized payloads inside the box, and one
     series is built at the end, so lowering costs time in proportion to
-    the terms of the expression, not to the box.  Monomials beyond the
+    the term pairs it multiplies, not to the box.  Monomials beyond the
     box truncate away silently, consistent with reading the expression
     in the quotient ring; ``a^0`` is 1 for every ``a``, including zero.
     Over Q, ``a^m`` raises :class:`ConstantPowerTooLargeError` when the
     constant term of ``a`` is not 0 or +-1 and its m-th power would
     exceed ``MAX_CONSTANT_POWER_BITS``, or when a bound on any cell of
-    ``a^m`` on the box would.  With ``a = c + R``, c its constant term, an
-    exponent m above K = x_order + y_order lowers as the sum of
-    ``C(m, k) c^(m-k) R^k`` over k <= K, so its cost does not grow with
-    m; smaller exponents square and multiply.  A box of more than
+    ``a^m`` on the box would.  With ``a = t + R``, t a term of least
+    total degree (the constant term if any), every power lowers as the
+    sum of ``C(m, k) t^(m-k) R^k`` over k <= min(m, K), K = x_order +
+    y_order, so its cost does not grow with m.  A box of more than
     ``series.MAX_BOX_CELLS`` cells raises :class:`BoxTooLargeError` before
     the code runs.
     """
@@ -247,36 +249,36 @@ def lower_expression(code, field: Field, x_order: int, y_order: int) -> BiSeries
                     f"{what} to the power {m} would take about {bits} "
                     f"bits, more than {MAX_CONSTANT_POWER_BITS}"
                 )
-        if len(base) == 1:
-            ((i, j), c), = base.items()
-            if i * m > x_order or j * m > y_order:
-                return {}
-            return {(i * m, j * m): pow(c, m, p) if p else c**m}
-        if m <= big:
-            return _binary_pow(base, m, {(0, 0): 1}, product)
-        # base = c + R, R without a constant term: R^k vanishes on the box
-        # past k = K, so a^m = sum_(k <= K) C(m, k) c^(m-k) R^k.  Over GF(p),
-        # C(m, k) = C(m mod p^s, k) mod p for the least p^s > K (Lucas),
-        # which keeps the binomials small
-        c = base.pop((0, 0), 0)
-        if not c:
+        # base = t + R, t = c X^i Y^j of least total degree (the constant
+        # term if any; 0 for a zero base): R^k vanishes on the box past
+        # k = K, so a^m = sum_(k <= min(m, K)) C(m, k) t^(m-k) R^k, which is
+        # 0 there if i + j > 0 and m > K.  Over GF(p), C(m, k) = C(m mod
+        # p^s, k) mod p for the least p^s > K (Lucas): small binomials
+        i, j = next(iter(base), (0, 0)) if len(base) < 2 else min(base, key=sum)
+        if i + j and m > big:
             return {}
+        c = base.pop((i, j), 0)
+        cm = pow(c, m, p) if p else c**m  # c^(m-k), from k = 0
+        if not base:  # the k = 0 term alone
+            inside = cm and i * m <= x_order and j * m <= y_order
+            return {(i * m, j * m): cm} if inside else {}
         ps = p or m + 1  # over Q, m mod ps is m
-        while ps <= big:
+        while p and ps <= big:
             ps *= p
-        m_mod = m % ps
-        cm, inv = pow(c, m, p) if p else c**m, field.invert(c)
+        m_mod, inv = m % ps, field.invert(c)
         out, rk, binom = {}, {(0, 0): 1}, 1
-        for k in range(big + 1):
+        for k in range(min(m, big) + 1):
             if k:
                 rk = product(rk, base)
                 if not rk:
                     break
                 binom = binom * (m_mod - k + 1) // k
-            scale = norm(binom * cm)
-            for key, v in rk.items():
-                out[key] = out.get(key, 0) + scale * v
-            cm = norm(cm * inv)
+                cm = norm(cm * inv)
+            scale, di, dj = norm(binom * cm), i * (m - k), j * (m - k)
+            for (a, b), v in rk.items():
+                if a + di <= x_order and b + dj <= y_order:
+                    key = a + di, b + dj
+                    out[key] = out.get(key, 0) + scale * v
         return {key: v for key, s in out.items() if (v := norm(s))}
 
     values = []  # operands awaiting the operator that consumes them

@@ -49,7 +49,6 @@ before allocating it.
 
 from __future__ import annotations
 
-import operator
 import sys
 from array import array
 from collections import defaultdict
@@ -91,18 +90,17 @@ def _check_cells(x_order: int, y_order: int) -> None:
         raise BoxTooLargeError(message)
 
 
-def _binary_pow(base, m: int, one, mul=operator.mul):
-    """``base`` to the m-th power by binary exponentiation with the
-    multiply ``mul``, from ``one``."""
+def _binary_pow(base, m: int, one):
+    """``base`` to the m-th power by binary exponentiation from ``one``."""
     if m < 0:
         raise ValueError("exponent must be >= 0")
     result = one
     while m:
         if m & 1:
-            result = mul(result, base)
+            result = result * base
         m >>= 1
         if m:
-            base = mul(base, base)
+            base = base * base
     return result
 
 

@@ -26,7 +26,13 @@ from implicitseries import (
 from implicitseries.expressions import MAX_CONSTANT_POWER_BITS, MAX_LITERAL_DIGITS
 from implicitseries.series import MAX_BOX_CELLS
 
-from conftest import FIELDS, make_rng, random_value, with_and_without_int_digit_limit
+from conftest import (
+    FIELDS,
+    make_rng,
+    random_nonzero_value,
+    random_value,
+    with_and_without_int_digit_limit,
+)
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -207,17 +213,42 @@ def _random_base(rng, field, nx, ny):
     return code, lower_expression(code, field, nx, ny)
 
 
-def test_powers_beyond_the_box_degree_match_repeated_products():
-    # for m > K = x_order + y_order, lowering sums C(m, k) c^(m-k) R^k over
-    # k <= K instead of squaring: it must equal BiSeries.pow
-    rng = make_rng("power-binomial-sum")
+def test_powers_of_every_exponent_match_repeated_products():
+    # every a^m lowers as one sum of C(m, k) t^(m-k) R^k over k <= min(m, K),
+    # K = x_order + y_order, t a term of least total degree: for each m from
+    # 0 to K + 40 it must equal BiSeries.pow, on a zero base and one-term
+    # bases (the k = 0 term alone) and on several terms with and without a
+    # constant term; over Q with m <= K, the loop that finds Lucas's p^s > K
+    # must not run (it would multiply by p = 0 forever)
+    rng = make_rng("power-every-exponent")
     for field in (Q, F2, PrimeField(3), PrimeField(5), PrimeField(10007)):
-        for _ in range(80):
+        for _ in range(6):
             nx, ny = rng.randint(0, 3), rng.randint(0, 3)
-            code, a = _random_base(rng, field, nx, ny)
-            m = nx + ny + rng.randint(1, 40)
-            got = lower_expression(code + [("^", m)], field, nx, ny)
-            assert got == a.pow(m), (field.tag, code, m)
+
+            def term(constant=False):
+                i, j = (0, 0) if constant else rng.choice(
+                    [(i, j) for i in range(nx + 2) for j in range(ny + 2) if i + j]
+                )
+                return f"({random_nonzero_value(rng, field)})*X^{i}*Y^{j}"
+
+            # the least-degree term may come anywhere in the sum
+            several = [term() for _ in range(rng.randint(1, 3))]
+            with_constant = several + [term(constant=True)]
+            rng.shuffle(with_constant)
+            for text in (
+                "0",
+                term(constant=True),
+                term(),
+                " + ".join(with_constant),
+                " + ".join([term()] + several),
+            ):
+                code = parse_expression(text, field)
+                a = lower_expression(code, field, nx, ny)
+                for m in range(nx + ny + 41):
+                    got = lower_expression(code + [("^", m)], field, nx, ny)
+                    assert got == a.pow(m), (field.tag, text, nx, ny, m)
+    # a zero power leaves no zero payload behind for a later power to invert
+    assert lower("(0^2 + X)^3 + 0^5*Y") == lower("X^3")
 
 
 def test_powers_with_huge_exponents_lower_quickly():
@@ -236,11 +267,11 @@ def test_powers_with_huge_exponents_lower_quickly():
     assert [big.coeff(k, 0).value for k in range(6)] == [
         math.comb(10**4000, k) % 10007 for k in range(6)
     ]
-    # (1 + X + Y)^m holds C(m, a + b) C(a + b, a) at X^a Y^b; squaring full
-    # (100, 100) term maps about 37 times did not finish in 20 s
-    m = 99999999999
-    for field in (Q, f):
-        p = lower("X + Y^2*(1+X+Y)^99999999999", field, 100, 100)
+    # (1 + X + Y)^m holds C(m, a + b) C(a + b, a) at X^a Y^b, for m below
+    # and far above K = 200; squaring full (100, 100) term maps took about
+    # half a second at m = 100 and did not finish in 20 s at the larger m
+    for m, field in itertools.product((100, 99999999999), (Q, f)):
+        p = lower(f"X + Y^2*(1+X+Y)^{m}", field, 100, 100)
         assert p.coeff(1, 0).value == 1
         for a, b in ((0, 0), (3, 5), (40, 58), (98, 0)):
             expected = math.comb(m, a + b) * math.comb(a + b, a)
