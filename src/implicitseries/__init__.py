@@ -7,7 +7,8 @@ Quick start::
     ...     RationalField, BiSeries, ImplicitProblem, solve_series,
     ... )
     >>> q = RationalField()
-    >>> p = BiSeries.from_terms(q, [(1, 0, 1), (0, 2, 1)], 6, 11)  # X + Y^2
+    >>> # X + Y^2; the solvers read only its terms, so any box holding them does
+    >>> p = BiSeries.from_terms(q, [(1, 0, 1), (0, 2, 1)], 6, 2)
     >>> report = solve_series(ImplicitProblem(p), 6, "theorem")
     >>> [str(c) for c in report.solution.coefficients()]
     ['0', '1', '1', '2', '5', '14', '42']

@@ -23,12 +23,13 @@ and with Dh = D(ZY, Y),
 
     [X^n Y^(m-1)] D * P^m  =  [Z^n Y^(n-1)] Dh * Ph^m      for every m,
 
-so only the terms of P with i + j <= n reach [X^n] f.  ``theorem``
-expands the sum term by term, one product per m (``_frame_terms``);
-``char0`` and ``furstenberg`` divide by the unit 1 - Ph once, with the
-numerators Z Ph_Z and Dh (``_diagonal_quotient``).  So ``verify`` still
-pits an expansion against two quotients, and the residual check that
-``solve_series`` makes shares no frame code.
+so only the terms of P with i + j <= n reach [X^n] f, in f = P(X, f)
+too, where X^i f^j starts at order i + j.  Every method reads just
+those (``_reaching_terms``).  ``theorem`` expands the sum term by term,
+one product per m; ``char0`` and ``furstenberg`` divide by the unit
+1 - Ph once, with the numerators Z Ph_Z and Dh (``_diagonal_quotient``).
+So ``verify`` still pits an expansion against two quotients, and the
+residual check that ``solve_series`` makes reads P on its own box.
 
 On P = X * phi(Y) the two sums are Lagrange inversion: theorem's is
 [Y^(n-1)] phi^n - [Y^(n-2)] phi' * phi^(n-1), in any characteristic, and
@@ -37,11 +38,11 @@ char0's is (1/n) [Y^(n-1)] phi^n.
 Over Q every method runs on integers, with one ``Fraction`` per
 coefficient of the answer.  ``fixpoint``, ``char0`` and ``furstenberg``
 solve for Eisenstein's integral P' = P(e^2 X, e Y) / e (``_eisenstein``),
-e the lcm of the denominators, and read f_k = g_k / e^(2k-1) off its
-solution g (``_unscale``).  The theorem's sweep takes d * P, d the lcm,
-weights its terms by integer powers of d and divides each sum once; and
-``BiSeries.subst_y``, which the residual check calls on the original P,
-and ``factor_out_root`` run one Horner on integers.
+e the lcm of the terms' denominators, and read f_k = g_k / e^(2k-1) off
+its solution g (``_unscale``).  The theorem's sweep takes d * P, d the
+same lcm, weights its terms by integer powers of d and divides each sum
+once; and ``BiSeries.subst_y``, which the residual check calls on the
+original P, and ``factor_out_root`` run one Horner on integers.
 
 ``solve_series`` is the single entry point that runs any of them on an
 ``ImplicitProblem`` and re-substitutes the result into its equation;
@@ -88,9 +89,9 @@ class ImplicitProblem:
     """A validated instance of f = P(X, f(X)).
 
     ``is_polynomial`` records that ``p`` is exact (all omitted
-    coefficients are truly zero), which licenses resizing to whatever
-    working box a method needs; for genuinely truncated input the
-    methods instead check that the stored box is large enough.
+    coefficients are truly zero), so any order can be solved; for
+    genuinely truncated input the methods instead check that the stored
+    box holds (n, n) at order n.
     """
 
     __slots__ = ("field", "p", "is_polynomial")
@@ -157,46 +158,45 @@ def _require_box(series: BiSeries, nx: int, ny: int, name: str = "P") -> None:
         )
 
 
-def _working_box(p: BiSeries, n: int) -> BiSeries:
-    """P on the box (n, top) that f = P(X, f) reads through order n: f
-    vanishes at 0, so Y^j with j > n cannot reach order n, and the columns
-    above P's highest nonzero one there add nothing."""
-    top = _top_column(p._c, p._w, min(p.y_order, n), (n + 1) * p._w)
-    return p.resized(n, top)
+def _reaching_terms(series: BiSeries, n_max: int) -> list:
+    """The nonzero terms ``(i, j, c)`` of ``series`` with i + j <= n_max,
+    the only ones that reach [X^n] f for n <= n_max (see above)."""
+    return [t for t in series.nonzero_terms() if t[0] + t[1] <= n_max]
 
 
 def solve_fixed_point(prob: ImplicitProblem, n_max: int) -> UniSeries:
-    """Solve by Newton iteration, doubling the known coefficients per step.
+    """Solve f = P(X, f) by Newton iteration (``_newton``)."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if not prob.is_polynomial:
+        _require_box(prob.p, n_max, n_max)
+    return _newton(prob.field, _reaching_terms(prob.p, n_max), n_max)
+
+
+def _newton(field, terms, n_max: int) -> UniSeries:
+    """fixpoint: Newton iteration, doubling the known coefficients per step.
 
     With f known through order k, one step
     ``f <- f + (P(X, f) - f) / (1 - P_Y(X, f))`` on order 2k + 1 makes
     it right through 2k + 1 (Brent & Kung 1978).  The divisor is a
     unit because ``P_Y(0, 0) = 0``, so the step holds in every
-    characteristic.  The linear iteration ``f <- P(X, f)``, one
-    coefficient per pass, lives on in the tests as the ground truth for
-    this and the other methods.
+    characteristic.
 
+    P is ``terms`` on the box (n_max, top), top their highest Y-degree.
     Over Q the loop solves g = P'(X, g) for Eisenstein's integral
-    ``P' = P(e^2 X, e Y) / e`` of the working box (``_eisenstein``): g and
-    the divisor ``1 - P'_Y(X, g)``, with constant term 1, are integral, so
-    every product and the quotient run on ints, and ``_unscale`` reads f.
+    ``P' = P(e^2 X, e Y) / e`` (``_eisenstein``): g and the divisor
+    ``1 - P'_Y(X, g)``, with constant term 1, are integral, so every
+    product and the quotient run on ints, and ``_unscale`` reads f.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    field = prob.field
-    if n_max == 0:
-        return UniSeries.zero(field, 0)
-    if not prob.is_polynomial:
-        _require_box(prob.p, n_max, n_max)
-    work = _working_box(prob.p, n_max)
-    top = work.y_order
-    e, terms = _eisenstein(work.nonzero_terms())
-    if e > 1:
-        work = BiSeries.from_terms(field, terms, n_max, top)
+    e, terms = _eisenstein(terms)
+    top = max([j for _, j, _ in terms], default=0)
+    work = BiSeries.zero(field, n_max, top)
+    for i, j, c in terms:  # normalized payloads, as _eisenstein leaves them
+        work._c[i * work._w + j] = c
     dwork = work.hasse_derivative(1) if top else None
     # f = 0 is right through order 0 and P_Y(0, 0) = 0, so the first
-    # step gives f = P(X, 0) through order 1
-    f = work.column(0).resized(1)
+    # step gives f = P(X, 0) through order 1 (at n_max = 0, f = 0)
+    f = work.column(0).resized(min(n_max, 1))
     k = 1
     while k < n_max:
         k = min(2 * k + 1, n_max)
@@ -238,17 +238,7 @@ def _unscale(field, g: list, e: int, over_k: bool = False) -> UniSeries:
     return UniSeries._raw(field, out)
 
 
-def _frame_terms(series: BiSeries, n_max: int):
-    """``(e, terms)``: each nonzero X^i Y^j of ``series`` with
-    i + j <= n_max as ``(i, i + j - 1, v)``, its cell in series(ZY, Y) / Y.
-    Over Q, ``v = e * c`` are integers over the lcm ``e`` of their
-    denominators; over GF(p), ``e = 1`` and ``v = c``."""
-    terms = [t for t in series.nonzero_terms() if t[0] + t[1] <= n_max]
-    e, values = _integral([c for _, _, c in terms])
-    return e, [(i, i + j - 1, v) for (i, j, _), v in zip(terms, values)]
-
-
-def _extraction_vectors(prob, n_max):
+def _extraction_vectors(field, terms, n_max: int):
     """The theorem's sweep: ``[X^n] f = sum_m [X^n Y^(m-1)] D * P^m``.
 
     Term m is the cell (n, n - 1) of Dh * Ph^m, for every n at once, so the
@@ -258,18 +248,20 @@ def _extraction_vectors(prob, n_max):
     every term of Ph at least 1, so the sweep runs to m = 2 n_max - 1, or
     until the power vanishes on the box, as all later terms then do.
 
-    Over Q the sweep multiplies ``den * Ph`` in integers (``_frame_terms``),
-    with ``den - den * dP/dY`` for D.  Term m needs the weight 1/den^(m+1):
-    the sums take the int den^(m_top - m) instead and are divided once, by
-    den^(m_top + 1), at the end.
+    ``terms`` are P's nonzero ``(i, j, c)`` with i + j <= n_max.  Over Q
+    the sweep multiplies ``den * Ph`` in integers, den the lcm of their
+    denominators, with ``den - den * dP/dY`` for D.  Term m needs the
+    weight 1/den^(m+1): the sums take the int den^(m_top - m) instead and
+    are divided once, by den^(m_top + 1), at the end.
     ``solve_series`` reports ``range(1, m_stop + 1)`` as the theorem's
     ``m_terms_used``; char0, one quotient, reports ``()``.
     """
-    field = prob.field
     sums = [0] * (n_max + 1)
     if n_max == 0:
         return sums, 0
-    den, terms = _frame_terms(prob.p, n_max)
+    # X^i Y^j becomes the cell (i, i + j - 1) of den * Ph
+    den, values = _integral([c for _, _, c in terms])
+    terms = [(i, i + j - 1, v) for (i, j, _), v in zip(terms, values)]
     norm = field.normalize
     # X^i Y^j of den * P gives -j v X^i Y^(j-1) of D, so Dh has -j v at the
     # cell (i, k) of Ph, j = k - i + 1; no two terms share a cell
@@ -310,8 +302,8 @@ def _extraction_vectors(prob, n_max):
 def _diagonal_quotient(field, terms, n_max: int, char0: bool) -> UniSeries:
     """char0 and furstenberg: one exact quotient by ``U = 1 - Ph'``.
 
-    ``terms`` are P's nonzero ``(i, j, c)``; those with i + j <= n_max
-    reach [X^n] f.  Each becomes a term of ``P' = P(e^2 X, e Y) / e``
+    ``terms`` are P's nonzero ``(i, j, c)`` with i + j <= n_max.  Each
+    becomes a term of ``P' = P(e^2 X, e Y) / e``
     (``_eisenstein``), then the cell (i, i + j - 1) of Ph' = P'(ZY, Y) / Y.
     The solution g of g = P'(X, g) is g_n = [Z^n Y^(n-1)] N / U, read off
     the diagonal of the box (n_max, n_max - 1), and ``_unscale`` turns it
@@ -321,7 +313,7 @@ def _diagonal_quotient(field, terms, n_max: int, char0: bool) -> UniSeries:
     """
     if n_max == 0:
         return UniSeries.zero(field, 0)
-    e, terms = _eisenstein([t for t in terms if t[0] + t[1] <= n_max])
+    e, terms = _eisenstein(terms)
     unit = [(0, 0, 1)] + [(i, i + j - 1, -c) for i, j, c in terms]
     if char0:
         numer = [(i, i + j - 1, i * c) for i, j, c in terms if i]
@@ -401,13 +393,17 @@ def furstenberg_solve(rp: RootProblem, n_max: int) -> UniSeries:
     _require_box(q, n_max, n_max, "Q")
     norm = field.normalize
     r = field.invert(q._c[1])  # q01 sits at flat index 1
-    terms = [(i, j, norm(-c * r)) for i, j, c in q.nonzero_terms() if (i, j) != (0, 1)]
+    terms = _reaching_terms(q, n_max)
+    terms = [(i, j, norm(-c * r)) for i, j, c in terms if (i, j) != (0, 1)]
     return _diagonal_quotient(field, terms, n_max, False)
 
 
 def _implicit_residual_zero(prob: ImplicitProblem, f: UniSeries) -> bool:
-    """Whether ``f = P(X, f)`` holds through the order of ``f``."""
-    return _working_box(prob.p, f.order).subst_y(f) == f
+    """Whether ``f = P(X, f)`` holds through the order n of ``f``, on P's
+    box (n, top), top its highest nonzero column j <= n there."""
+    p, n = prob.p, f.order
+    top = _top_column(p._c, p._w, min(p.y_order, n), (n + 1) * p._w)
+    return p.resized(n, top).subst_y(f) == f
 
 
 def solve_series(prob: ImplicitProblem, n_max: int, method) -> SolveReport:
@@ -431,13 +427,14 @@ def solve_series(prob: ImplicitProblem, n_max: int, method) -> SolveReport:
     if char0 and prob.field.characteristic:
         raise PositiveCharacteristicError("the char0 method needs characteristic zero")
 
+    field, terms = prob.field, _reaching_terms(prob.p, n_max)
     m_terms = ()
     if method is SolveMethod.FIXED_POINT:
-        f = solve_fixed_point(prob, n_max)
+        f = _newton(field, terms, n_max)
     elif method is SolveMethod.THEOREM:
-        sums, m_stop = _extraction_vectors(prob, n_max)
-        f = UniSeries._raw(prob.field, sums)
+        sums, m_stop = _extraction_vectors(field, terms, n_max)
+        f = UniSeries._raw(field, sums)
         m_terms = tuple(range(1, m_stop + 1))
     else:
-        f = _diagonal_quotient(prob.field, prob.p.nonzero_terms(), n_max, char0)
+        f = _diagonal_quotient(field, terms, n_max, char0)
     return SolveReport(method, f, _implicit_residual_zero(prob, f), m_terms)

@@ -16,7 +16,7 @@ from implicitseries import (
     RationalField,
     UniSeries,
 )
-from implicitseries.solver import _require_box
+from implicitseries.solver import _extraction_vectors, _reaching_terms, _require_box
 
 FIELDS = [
     RationalField(),
@@ -81,7 +81,8 @@ def random_biseries(rng, field, x_order, y_order):
 
 def catalan_problem(field, n_max: int) -> ImplicitProblem:
     """f = X + f^2, whose coefficients are the Catalan numbers, on the box
-    the solvers need at order ``n_max``."""
+    (n_max, max(1, 2 n_max - 1)).  An exact P needs no particular box: the
+    solvers read only its terms."""
     p = BiSeries.from_terms(
         field, [(1, 0, 1), (0, 2, 1)], n_max, max(1, 2 * n_max - 1)
     )
@@ -197,6 +198,12 @@ def tail_term_count(prob, n_max, char_zero_form=False):
         count += sum(1 for n in range(n_max + 1) if term.coeff(n, m - 1))
         power = power * p
     return count
+
+
+def theorem_sums(prob, n_max):
+    """The raw payloads the theorem's sweep sums for n <= n_max, on the
+    terms of P that reach order ``n_max``, as ``solve_series`` passes them."""
+    return _extraction_vectors(prob.field, _reaching_terms(prob.p, n_max), n_max)[0]
 
 
 def flajolet_soria_sum(prob, n_max):

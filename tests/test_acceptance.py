@@ -26,7 +26,6 @@ from implicitseries import (
     taylor_residual,
 )
 from implicitseries.cli import main as cli_main
-from implicitseries.solver import _extraction_vectors
 
 from conftest import (
     FIELDS,
@@ -41,6 +40,7 @@ from conftest import (
     random_root_poly,
     random_uniseries,
     tail_term_count,
+    theorem_sums,
 )
 
 Q = RationalField()
@@ -88,7 +88,7 @@ def cross_method_fuzz():
             prob = ImplicitProblem(p)
             nonzero_tail_entries += tail_term_count(prob, n_max)
             vectors = {
-                "theorem": _extraction_vectors(prob, n_max)[0],
+                "theorem": theorem_sums(prob, n_max),
                 "fixpoint": solve_fixed_point(prob, n_max)._c,
                 "furstenberg": solve_series(
                     prob, n_max, SolveMethod.FURSTENBERG
@@ -196,7 +196,7 @@ def test_06_lagrange_consistency(capsys):
                     field, [(1, j, c) for j, c in enumerate(phi._c)], 10, 19
                 )
                 prob = ImplicitProblem(p)
-                sums, _ = _extraction_vectors(prob, 10)
+                sums = theorem_sums(prob, 10)
                 for n in range(1, 11):
                     general = lagrange_oracle(phi, n)
                     assert general == sums[n], (field.tag, n, phi)

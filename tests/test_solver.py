@@ -31,7 +31,7 @@ from implicitseries import (
 from implicitseries import solver
 from implicitseries.expressions import lower_expression, parse_expression
 from implicitseries.series import _Series
-from implicitseries.solver import _extraction_vectors, _frame_terms
+from implicitseries.solver import _reaching_terms
 
 from conftest import (
     FIELDS,
@@ -48,6 +48,7 @@ from conftest import (
     random_value,
     synthetic_division,
     tail_term_count,
+    theorem_sums,
 )
 
 Q = RationalField()
@@ -197,7 +198,7 @@ def test_extraction_whole_vector_matches_oracle():
             p = random_implicit_poly(rng, field, 8, 8)
             prob = ImplicitProblem(p)
             oracle = linear_fixed_point(prob, 8)
-            plain, _ = _extraction_vectors(prob, 8)
+            plain = theorem_sums(prob, 8)
             assert plain == oracle._c
             assert tail_term_count(prob, 8) == 0
 
@@ -217,7 +218,7 @@ def test_extraction_sums_unchanged_by_tail_window():
             for char0 in (False, True):
                 count = tail_term_count(prob, 6, char0)
                 assert count == 0, (field.tag, char0, prob.p)
-            plain, _ = _extraction_vectors(prob, 6)
+            plain = theorem_sums(prob, 6)
             assert plain == oracle, (field.tag, prob.p)
             if not field.characteristic:
                 weighted = solve_series(prob, 6, "char0").solution._c
@@ -225,8 +226,38 @@ def test_extraction_sums_unchanged_by_tail_window():
                 assert weighted == oracle, prob.p
 
 
+def test_terms_past_the_reach_change_nothing():
+    # only the terms X^i Y^j with i + j <= n reach [X^n] f: random terms
+    # added past that, inside the box, leave the terms the methods read,
+    # each method's solution, residual and m-range as they were, and every
+    # solution equals the linear iteration's on the original P, which reads
+    # all of P
+    rng = make_rng("reaching-terms")
+    for field in FIELDS:
+        char0 = () if field.characteristic else (SolveMethod.CHAR0,)
+        methods = (SolveMethod.THEOREM, SolveMethod.FIXED_POINT, SolveMethod.FURSTENBERG) + char0
+        for _ in range(6):
+            n = rng.randint(1, 8)
+            p = random_implicit_poly(rng, field, n, n + 3)
+            extra = []
+            for _ in range(rng.randint(1, 4)):
+                i = rng.randint(0, n)
+                j = rng.randint(n + 1 - i, n + 3)  # i + j > n, inside the box
+                extra.append((i, j, random_nonzero_value(rng, field)))
+            padded = BiSeries.from_terms(field, p.nonzero_terms() + extra, n, n + 3)
+            assert _reaching_terms(padded, n) == _reaching_terms(p, n)
+            oracle = linear_fixed_point(ImplicitProblem(p), n)
+            for polynomial in (True, False):
+                prob = ImplicitProblem(p, is_polynomial=polynomial)
+                wide = ImplicitProblem(padded, is_polynomial=polynomial)
+                for method in methods:
+                    report = solve_series(wide, n, method)
+                    assert report == solve_series(prob, n, method), (field.tag, p, extra)
+                    assert report.solution == oracle and report.residual_zero
+
+
 def _fractional_problems():
-    """(P, n, lcm of the denominators on the working box) over Q."""
+    """(P, n, lcm of the denominators of P's terms with i + j <= n) over Q."""
     f = Fraction
     cases = [
         # coprime denominators
@@ -239,29 +270,30 @@ def _fractional_problems():
         ([(1, 0, f(1, 2)), (2, 0, f(2, 3)), (5, 0, f(-1, 9))], 6, 11, 18),
         # integral: the plain path
         ([(1, 0, 1), (0, 2, -2), (1, 3, 5)], 7, 13, 1),
-        # the Fraction lies beyond the working box in X, so it is left out
+        # the Fraction lies beyond the box in X, so it is left out
         ([(1, 0, 1), (0, 2, 1), (7, 0, f(1, 2))], 6, 11, 1),
+        # the Fraction lies in the box, but i + j = 7 > n: it cannot reach f
+        ([(1, 0, 1), (0, 2, 1), (2, 5, f(1, 2))], 6, 11, 1),
     ]
     for terms, n, ny, den in cases:
         yield BiSeries.from_terms(Q, terms, max(n, 7), ny), n, den
-    # truncated input, known exactly on the box the sweep needs
+    # truncated input, known exactly on a box that holds (n, n)
     p = BiSeries.from_terms(Q, [(1, 0, f(3, 5)), (0, 2, f(1, 4)), (2, 3, f(-1, 6))], 5, 9)
     yield p, 5, 60
 
 
 def test_extraction_over_q_with_a_common_denominator():
     # over Q the sweep runs on den * P in integers, den the lcm of the
-    # denominators on the working box, and divides term m by den^(m+1), and
-    # char0's quotient runs on integers scaled by powers of den: the answers
-    # are the oracles', payload for payload, and the terms past m_top are
-    # still zero
+    # denominators of the terms with i + j <= n, and divides term m by
+    # den^(m+1), and char0's quotient runs on integers scaled by powers of
+    # den: the answers are the oracles', payload for payload, and the terms
+    # past m_top are still zero
     for polynomial in (True, False):
         for p, n, den in _fractional_problems():
-            work = p.resized(n, 2 * n + 3)._c
-            assert math.lcm(*(Fraction(c).denominator for c in work)) == den
+            assert _reaching_lcm(p, n) == den
             prob = ImplicitProblem(p, is_polynomial=polynomial)
             oracle = linear_fixed_point(prob, n)
-            plain, _ = _extraction_vectors(prob, n)
+            plain = theorem_sums(prob, n)
             assert repr(plain) == repr(oracle._c), p
             weighted = solve_series(prob, n, "char0").solution._c
             assert repr(weighted) == repr(flajolet_soria_sum(prob, n)), p
@@ -302,8 +334,9 @@ def test_extraction_over_q_multiplies_only_ints(monkeypatch):
 
 
 def test_fixpoint_over_q_multiplies_only_ints(monkeypatch):
-    # Newton runs on the integral P(e^2 X, e Y) / e, without _frame_terms:
-    # no product it makes and neither operand of its quotient holds a
+    # Newton runs on the integral P(e^2 X, e Y) / e, e the lcm of the
+    # denominators of the terms with i + j <= n, and reads no frame: no
+    # product it makes and neither operand of its quotient holds a
     # Fraction.  The residual check substitutes into the original P, also
     # on ints.
     oracles = [linear_fixed_point(ImplicitProblem(p), n) for p, n, _ in _fractional_problems()]
@@ -330,13 +363,24 @@ def test_fixpoint_over_q_multiplies_only_ints(monkeypatch):
     def refuse(*args):
         raise AssertionError("fixpoint reads the frame")
 
+    scales = []
+    unscale = solver._unscale
+
+    def unscaled(field, g, e, *args):
+        scales.append(e)
+        return unscale(field, g, e, *args)
+
     monkeypatch.setattr(BiSeries, "subst_y", substituted)
-    monkeypatch.setattr(solver, "_frame_terms", refuse)
-    for (p, n, _), oracle in zip(_fractional_problems(), oracles):
+    monkeypatch.setattr(solver, "_extraction_vectors", refuse)
+    monkeypatch.setattr(solver, "_diagonal_quotient", refuse)
+    monkeypatch.setattr(solver, "_unscale", unscaled)
+    for (p, n, den), oracle in zip(_fractional_problems(), oracles):
         seen.clear()
+        scales.clear()
         report = solve_series(ImplicitProblem(p), n, "fixpoint")
         assert repr(report.solution) == repr(oracle), p
         assert report.residual_zero
+        assert scales == [den], p
         # the residual substitutes into P's own terms that reach order n
         assert seen[-1].nonzero_terms() == [
             t for t in p.nonzero_terms() if t[0] <= n and t[1] <= n
@@ -353,12 +397,15 @@ def test_fixpoint_over_q_multiplies_only_ints(monkeypatch):
         ("1/2*X + X*Y - Y^2 + 3/4*X^2*Y^3", 10),
         ("-2/9*X + 5/6*Y^3 + X^2 + 7/10*X^3*Y^2", 9),
         ("1/2*X + Y^2 + 1/3*X^9", 6),  # X^9 lies beyond the box: e = 2
+        # X^2 Y^2 lies in the box (3, 5), but 2 + 2 > 3: e = 2, top = 2
+        ("1/2*X + Y^2 + 1/3*X^2*Y^2", 3),
     ],
 )
 def test_fixpoint_frame_is_the_lowered_substitution(monkeypatch, text, n):
-    # over Q, Newton substitutes into P(e^2 X, e Y) / e, e the lcm of the
-    # denominators on its working box (n, top): the text of that series,
-    # lowered, is the integral series it builds
+    # over Q, Newton substitutes into P(e^2 X, e Y) / e on the box (n, top),
+    # built from the terms X^i Y^j with i + j <= n, e the lcm of their
+    # denominators and top their highest Y-degree: the text of that series,
+    # lowered, is the integral series it builds, less the terms past i + j <= n
     p = lower_expression(parse_expression(text, Q), Q, n, 2 * n - 1)
     seen = []
     subst_y = BiSeries.subst_y
@@ -371,11 +418,15 @@ def test_fixpoint_frame_is_the_lowered_substitution(monkeypatch, text, n):
     f = solve_fixed_point(ImplicitProblem(p), n)
     monkeypatch.undo()
     work = next(s for s in seen if s.x_order == n)  # P' comes before P'_Y
-    top = work.y_order
-    e = math.lcm(*(Fraction(c).denominator for c in p.resized(n, top)._c))
+    kept = [(i, j, c) for i, j, c in p.nonzero_terms() if i + j <= n]
+    top = max(j for _, j, _ in kept)
+    e = math.lcm(*(Fraction(c).denominator for _, _, c in kept))
+    assert work.y_order == top
     assert e > 1 and all(type(c) is int for c in work._c)
     frame = text.replace("X", f"({e}^2*X)").replace("Y", f"({e}*Y)")
-    assert work == lower_expression(parse_expression(f"1/{e}*({frame})", Q), Q, n, top)
+    lowered = lower_expression(parse_expression(f"1/{e}*({frame})", Q), Q, n, top)
+    reaching = [t for t in lowered.nonzero_terms() if t[0] + t[1] <= n]
+    assert work == BiSeries.from_terms(Q, reaching, n, top)
     assert f == linear_fixed_point(ImplicitProblem(p), n)
 
 
@@ -404,14 +455,41 @@ def test_per_m_term_groups_differ_but_totals_agree():
 
 # -------------------------------------------------------------------- frame
 
+def _reaching_lcm(p, n):
+    """The lcm of the denominators of P's terms with i + j <= n."""
+    kept = [c for i, j, c in p.nonzero_terms() if i + j <= n]
+    return math.lcm(1, *(Fraction(c).denominator for c in kept))
+
+
+def _swept_factor(p, n):
+    """The series the theorem's sweep multiplies by at order n >= 2, the
+    right operand of its first product: d * Ph on the box (n, n - 1), d the
+    lcm of the denominators of P's terms with i + j <= n."""
+    factors = []
+    mul = BiSeries.__mul__
+
+    def record(self, other):
+        factors.append(other)
+        return mul(self, other)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BiSeries, "__mul__", record)
+        solve_series(ImplicitProblem(p), n, "theorem")
+    return factors[0]
+
+
 def _frame_series(p, n):
     """Ph = P(ZY, Y) / Y and Dh = D(ZY, Y), D = 1 - dP/dY, on the box
-    (n, n - 1), from ``_frame_terms``."""
-    e, terms = _frame_terms(p, n)
-    terms = [(i, k, Fraction(v, e)) for i, k, v in terms]
+    (n, n - 1), from the sweep's factor.  The cell (i, i + j - 1) lies in
+    that box just when i + j <= n, so the factor at order max(n, 2), where
+    the sweep makes a product, holds Ph on it."""
+    m = max(n, 2)
+    d = _reaching_lcm(p, m)
+    r = _swept_factor(p, m).resized(n, n - 1)
+    terms = [(i, k, Fraction(v, d)) for i, k, v in r.nonzero_terms()]
     ph = BiSeries.from_terms(p.field, terms, n, n - 1)
-    d = [(0, 0, 1)] + [(i, k, -(k - i + 1) * c) for i, k, c in terms if k >= i]
-    return ph, BiSeries.from_terms(p.field, d, n, n - 1)
+    dh = [(0, 0, 1)] + [(i, k, -(k - i + 1) * c) for i, k, c in terms if k >= i]
+    return ph, BiSeries.from_terms(p.field, dh, n, n - 1)
 
 
 def test_frame_identity_term_by_term():
@@ -451,29 +529,27 @@ def _random_text(rng, field):
 
 
 def test_frame_terms_match_lowering_in_the_frame():
-    # the helper against an independent build: lower P with X replaced by
-    # (X*Y), so X^i Y^j lands on X^i Y^(i+j), and shift it down one Y column
+    # the series the theorem's sweep multiplies by against an independent
+    # build: lower P with X replaced by (X*Y), so X^i Y^j lands on
+    # X^i Y^(i+j), and shift it down one Y column.  Over Q the sweep's
+    # series is d times that, in ints, d the lcm of the denominators of the
+    # terms with i + j <= n
     rng = make_rng("frame-terms")
     for field in (Q, F2, PrimeField(3), PrimeField(10007)):
         for _ in range(20):
             text = _random_text(rng, field)
-            n = rng.randint(1, 9)
+            n = max(2, rng.randint(1, 9))  # the sweep's first product is at 2
             p = lower_expression(parse_expression(text, field), field, n, 2 * n - 1)
-            e, terms = _frame_terms(p, n)
+            factor = _swept_factor(p, n)
+            assert (factor.x_order, factor.y_order) == (n, n - 1)
+            d = _reaching_lcm(p, n)
             if not field.characteristic:
-                assert all(type(v) is int for _, _, v in terms)
-                kept = [c for i, j, c in p.nonzero_terms() if i + j <= n]
-                assert e == math.lcm(1, *(Fraction(c).denominator for c in kept))
-            else:
-                assert e == 1
+                assert all(type(v) is int for v in factor._c)
             code = parse_expression(text.replace("X", "(X*Y)"), field)
             wide = lower_expression(code, field, n, n)
             assert not any(wide.coeff(i, 0) for i in range(n + 1))
-            shifted = [(i, j - 1, c) for i, j, c in wide.nonzero_terms()]
-            expected = BiSeries.from_terms(field, shifted, n, n - 1)
-            framed = [(i, k, Fraction(v, e)) for i, k, v in terms]
-            assert BiSeries.from_terms(field, framed, n, n - 1) == expected, text
-            assert all(k <= n - 1 for _, k, _ in terms)
+            shifted = [(i, j - 1, d * c) for i, j, c in wide.nonzero_terms()]
+            assert factor == BiSeries.from_terms(field, shifted, n, n - 1), text
 
 
 # ------------------------------------------------------------------- taylor
