@@ -35,8 +35,9 @@ so a product pays a gcd per result cell, not per term pair.
 ``BiSeries._horner`` runs Horner's scheme for ``Y = f`` and yields each
 partial sum as integers over one denominator: over Q it scales its two
 operands the same way once, so it adds and multiplies only ints.
-``subst_y`` divides the last partial sum once (``_over``), one gcd per
-cell; ``solver.factor_out_root`` keeps them all as its cofactor.
+``subst_y`` starts it at the highest column that reaches its order and
+divides the last partial sum once (``_over``), one gcd per cell;
+``solver.factor_out_root`` keeps them all as its cofactor.
 
 The exact quotient ``/`` solves a cell at a time (``_cell_quotient``) or,
 over GF(p) from ``_KRON_MIN_QUOTIENT``, a row at a time on ints packed as
@@ -90,25 +91,10 @@ def _check_cells(x_order: int, y_order: int) -> None:
         raise BoxTooLargeError(message)
 
 
-def _binary_pow(base, m: int, one):
-    """``base`` to the m-th power by binary exponentiation from ``one``."""
-    if m < 0:
-        raise ValueError("exponent must be >= 0")
-    result = one
-    while m:
-        if m & 1:
-            result = result * base
-        m >>= 1
-        if m:
-            base = base * base
-    return result
-
-
-def _top_column(c: list, w: int, top: int, size=None) -> int:
+def _top_column(c: list, w: int, top: int) -> int:
     """The highest column ``j <= top`` of the row-major list ``c``, ``w``
-    entries per row, with a nonzero entry among the first ``size``
-    entries (all of them by default); 0 when there is none."""
-    while top and not any(c[top:size:w]):
+    entries per row, with a nonzero entry; 0 when there is none."""
+    while top and not any(c[top::w]):
         top -= 1
     return top
 
@@ -438,6 +424,21 @@ class _Series:
             return self._raw(field, _kron_quotient(field, self._c, c, w), w)
         return self._raw(field, _cell_quotient(field, list(self._c), c[0], terms, w), w)
 
+    def pow(self, m: int):
+        """Truncated m-th power, by binary exponentiation; ``pow(a, 0)`` is
+        the constant one on the same shape, for any ``a`` including zero."""
+        if m < 0:
+            raise ValueError("exponent must be >= 0")
+        result = self._raw(self.field, [1] + [0] * (len(self._c) - 1), self._w)
+        base = self
+        while m:
+            if m & 1:
+                result = result * base
+            m >>= 1
+            if m:
+                base = base * base
+        return result
+
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -517,10 +518,6 @@ class UniSeries(_Series):
     def __mul__(self, other):
         self._check_op(other)
         return _product(self, other)
-
-    def pow(self, m: int) -> "UniSeries":
-        """Truncated m-th power, by binary exponentiation."""
-        return _binary_pow(self, m, UniSeries._raw(self.field, [1] + [0] * self.order))
 
     def __repr__(self):
         return f"UniSeries({self.field.tag}, {self._c!r})"
@@ -610,14 +607,7 @@ class BiSeries(_Series):
         self._check_op(other)
         return _product(self, other)
 
-    def pow(self, m: int) -> "BiSeries":
-        """Truncated m-th power, by binary exponentiation.
-
-        ``pow(a, 0)`` is the constant-one series on the same box, for
-        any ``a`` including zero.
-        """
-        one = BiSeries.from_terms(self.field, [(0, 0, 1)], self.x_order, self.y_order)
-        return _binary_pow(self, m, one)
+    pow = _Series.pow  # bound here too: the tracer reads BiSeries.__dict__["pow"]
 
     def hasse_derivative(self, m: int) -> "BiSeries":
         """The m-th Hasse derivative in Y.
@@ -652,20 +642,29 @@ class BiSeries(_Series):
         (``_horner``), divided once.
 
         Requires ``f(0) = 0`` (so the substitution respects truncation)
-        and ``f.order >= x_order``.  The result has order ``x_order``.
+        and ``f.order >= x_order``; the result has order ``x_order``.  As
+        f(0) = 0, a term ``X^i Y^j`` adds only to orders i + j and up, so
+        Horner starts at the highest column j with a nonzero cell in a row
+        i <= x_order - j.  That is exact: the columns above it add only to
+        orders above x_order.
         """
-        for ints, den in self._horner(f):
+        c, w, nx = self._c, self._w, self.x_order
+        top = min(self.y_order, nx)
+        while top and not any(c[top : (nx - top + 1) * w : w]):
+            top -= 1
+        for ints, den in self._horner(f, top):
             pass  # hold one partial sum at a time
         return UniSeries._raw(self.field, _over(ints, den))
 
-    def _horner(self, f: UniSeries):
+    def _horner(self, f: UniSeries, top=None):
         """Horner's scheme for ``Y = f(X)`` over the columns ``C_j``, from
-        the highest nonzero one, ``top``, down: yields each partial sum
-        ``h_top = C_top``, ``h_j = C_j + f * h_(j+1)``, ..., ``h_0 =
-        self(X, f)`` as ``(ints, den)``, the payloads ``_over(ints, den)``.
-        Kept, the partial sums are synthetic division by ``Y - f``: h_top
-        ... h_1 are the cofactor's columns top - 1 ... 0 and h_0 is the
-        remainder.  Checks f as ``subst_y`` states.
+        ``top`` down: yields each partial sum ``h_top = C_top``, ``h_j =
+        C_j + f * h_(j+1)``, ..., ``h_0 = self(X, f)`` as ``(ints, den)``,
+        the payloads ``_over(ints, den)``; ``top`` is the highest nonzero
+        column unless given (``subst_y`` gives the highest that reaches
+        order x_order).  Kept, the partial sums are synthetic division by
+        ``Y - f``: h_top ... h_1 are the cofactor's columns top - 1 ... 0
+        and h_0 is the remainder.  Checks f as ``subst_y`` states.
 
         Over Q, Horner runs on integers.  With ``f = F / d`` and this
         series ``C / e`` (``_integral`` on f and on this series' support),
@@ -689,9 +688,8 @@ class BiSeries(_Series):
             )
         fx = f.resized(nx)
         field, c, w = self.field, self._c, self._w
-        # all-zero top columns contribute nothing; start at the highest
-        # nonzero one (lowering often leaves many above the support)
-        top = _top_column(c, w, self.y_order)
+        if top is None:  # lowering often leaves all-zero columns on top
+            top = _top_column(c, w, self.y_order)
         d = e = 1
         if not field.characteristic:
             d, ints = _integral(fx._c)

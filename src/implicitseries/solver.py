@@ -28,8 +28,9 @@ too, where X^i f^j starts at order i + j.  Every method reads just
 those (``_reaching_terms``).  ``theorem`` expands the sum term by term,
 one product per m; ``char0`` and ``furstenberg`` divide by the unit
 1 - Ph once, with the numerators Z Ph_Z and Dh (``_diagonal_quotient``).
-So ``verify`` still pits an expansion against two quotients, and the
-residual check that ``solve_series`` makes reads P on its own box.
+So ``verify`` still pits an expansion against two quotients.  The
+residual check that ``solve_series`` makes substitutes P's first n + 1
+rows whole: ``subst_y`` itself skips the columns that cannot reach order n.
 
 On P = X * phi(Y) the two sums are Lagrange inversion: theorem's is
 [Y^(n-1)] phi^n - [Y^(n-2)] phi' * phi^(n-1), in any characteristic, and
@@ -73,7 +74,7 @@ from .errors import (
     ZeroLinearYTermError,
 )
 from .fields import _demote
-from .series import BiSeries, UniSeries, _integral, _over, _top_column
+from .series import BiSeries, UniSeries, _integral, _over
 
 
 class SolveMethod(enum.Enum):
@@ -399,11 +400,10 @@ def furstenberg_solve(rp: RootProblem, n_max: int) -> UniSeries:
 
 
 def _implicit_residual_zero(prob: ImplicitProblem, f: UniSeries) -> bool:
-    """Whether ``f = P(X, f)`` holds through the order n of ``f``, on P's
-    box (n, top), top its highest nonzero column j <= n there."""
-    p, n = prob.p, f.order
-    top = _top_column(p._c, p._w, min(p.y_order, n), (n + 1) * p._w)
-    return p.resized(n, top).subst_y(f) == f
+    """Whether ``f = P(X, f)`` holds through the order n of ``f``: P's
+    first n + 1 rows, substituted whole (``subst_y`` skips the columns
+    that cannot reach order n)."""
+    return prob.p.resized(f.order, prob.p.y_order).subst_y(f) == f
 
 
 def solve_series(prob: ImplicitProblem, n_max: int, method) -> SolveReport:

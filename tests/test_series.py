@@ -666,6 +666,43 @@ def test_subst_y_agrees_with_term_expansion():
             for j in range(ny + 1):
                 total = total + p.column(j) * f.pow(j)
             assert direct == total
+    # the columns above a random top hold only cells past the reach
+    # i + j <= nx, which subst_y skips: the expansion still sums them all
+    for field in FIELDS:
+        for _ in range(25):
+            nx, top = rng.randint(1, 5), rng.randint(0, 3)
+            ny = rng.randint(top + 1, nx + 3)
+            p = random_biseries(rng, field, nx, top).resized(nx, ny)
+            far = [
+                (rng.randint(max(0, nx - j + 1), nx), j, 1)
+                for j in range(top + 1, ny + 1) if j <= nx or rng.random() < 0.5
+            ]
+            p = p + BiSeries.from_terms(field, far, nx, ny)
+            f = random_uniseries(rng, field, nx, zero_constant=True)
+            total = UniSeries.zero(field, nx)
+            for j in range(ny + 1):
+                total = total + p.column(j) * f.pow(j)
+            assert p.subst_y(f) == total, (p, f)
+
+
+def test_subst_y_skips_the_columns_past_the_reach(monkeypatch):
+    # X^3 Y^40 cannot reach order 20 (3 + 40 > 20), so Horner runs over
+    # the columns 0 .. 2 alone: two products, not forty
+    p = BiSeries.from_terms(Q, [(1, 0, 1), (0, 2, 1), (3, 40, 1)], 20, 40)
+    rng = make_rng("subst-skip")
+    f = random_uniseries(rng, Q, 20, zero_constant=True)
+    products = []
+    mul = UniSeries.__mul__
+
+    def record(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(UniSeries, "__mul__", record)
+    got = p.subst_y(f)
+    assert len(products) <= 2
+    monkeypatch.undo()
+    assert got == p.column(0) + f * f
 
 
 def test_subst_y_over_q_matches_fraction_horner():

@@ -430,6 +430,28 @@ def test_fixpoint_frame_is_the_lowered_substitution(monkeypatch, text, n):
     assert f == linear_fixed_point(ImplicitProblem(p), n)
 
 
+def test_residual_check_skips_a_heavy_term_past_the_reach(monkeypatch):
+    # X^150 Y^150 lies in the box (256, 256) but cannot reach order 256
+    # (150 + 150 > 256): the residual check substitutes P through its
+    # columns 0 .. 2 alone, two products, not 150
+    terms = [(1, 0, Fraction(1, 2)), (0, 2, 1), (1, 1, -1)]
+    heavy = BiSeries.from_terms(Q, terms + [(150, 150, Fraction(1, 999983))], 256, 256)
+    light = solve_series(ImplicitProblem(BiSeries.from_terms(Q, terms, 256, 2)), 256, "fixpoint")
+    prob = ImplicitProblem(heavy)
+    report = solve_series(prob, 256, "fixpoint")
+    assert report.residual_zero and report.solution == light.solution
+    products = []
+    mul = UniSeries.__mul__
+
+    def record(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(UniSeries, "__mul__", record)
+    assert solver._implicit_residual_zero(prob, report.solution)
+    assert 0 < len(products) <= 2
+
+
 def test_per_m_term_groups_differ_but_totals_agree():
     # the two extraction formulas distribute the answer differently over
     # m; only the totals coincide.  For P = X + Y^2 at n = 4 the general
@@ -688,6 +710,13 @@ def test_factor_out_root_matches_synthetic_division():
         f = furstenberg_solve(RootProblem(q.resized(n, n)), n)
         assert f.is_zero()
         check(q, f)
+    # the column 6 of Q holds only X^5 Y^6, which cannot reach order n
+    # (5 + 6 > n): subst_y skips it, but R keeps it as its column 5
+    for field in (Q, F2, PrimeField(10007)):
+        q = root_poly(field, n, n, 3) + BiSeries.from_terms(field, [(5, 6, 1)], n, n)
+        f = furstenberg_solve(RootProblem(q), n)
+        check(q, f)
+        assert factor_out_root(RootProblem(q), f).column(5)._c == q.column(6)._c
 
 
 # ---------------------------------------------------------------- furstenberg
