@@ -20,9 +20,10 @@ the series.
 
 Both types multiply through ``_product``.  Over GF(p), once the nonzero
 terms make ``_KRON_MIN_PAIRS`` pairs and the box has at most
-``_KRON_CELLS_PER_PAIR`` cells per pair, ``_kron_mul`` packs each operand
-into one int, makes one big-int multiply and reads the product's
-coefficients back (Kronecker substitution).  Every other product, and
+``_KRON_CELLS_PER_PAIR`` cells per pair, ``_kron_mul`` packs the window
+of nonzero rows and columns of each operand into one int, makes one
+big-int multiply and writes the coefficients back from the sum of the
+windows' corners (Kronecker substitution).  Every other product, and
 every product over Q, is one schoolbook loop over the pairs of the two
 supports that land in the box.  On a box of more than
 ``_SPARSE_CELLS_PER_PAIR`` cells per pair, it sums into a dict and
@@ -40,8 +41,8 @@ divides the last partial sum once (``_over``), one gcd per cell;
 ``solver.factor_out_root`` keeps them all as its cofactor.
 
 The exact quotient ``/`` solves a cell at a time (``_cell_quotient``) or,
-over GF(p) from ``_KRON_MIN_QUOTIENT``, a row at a time on ints packed as
-in ``_kron_mul``, one big-int step per divisor term (``_kron_quotient``).
+over GF(p) from ``_KRON_MIN_QUOTIENT``, a row at a time on ints packed by
+``_kron_pack``, one big-int step per divisor term (``_kron_quotient``).
 
 ``zero``, which ``from_terms`` and ``BiSeries.resized`` start from, refuses
 a box of more than ``MAX_BOX_CELLS`` cells with :class:`BoxTooLargeError`
@@ -122,19 +123,14 @@ _SPARSE_CELLS_PER_PAIR = 8
 _NATIVE_BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _kron_pack(c: list, w: int, s: int, count: int, nb: int) -> int:
-    """The first ``count`` slots of ``c`` re-laid ``s`` slots per row (the
-    ``s - w`` extra slots zero), as one int with ``nb`` bytes per slot."""
-    if s > w:
-        padded = [0] * count
-        for i, k in zip(range(0, count, s), range(0, len(c), w)):
-            padded[i : i + w] = c[k : k + w]
-        c = padded
+def _kron_pack(c: list, nb: int) -> int:
+    """The payloads ``c``, each below 2**31, as one int with ``nb`` bytes
+    per slot, ``c[0]`` in the lowest."""
     values = array("I", c)
     if _NATIVE_BIG_ENDIAN:
         values.byteswap()
     raw, step = values.tobytes(), values.itemsize
-    buf = bytearray(nb * count)
+    buf = bytearray(nb * len(c))
     # payloads are below 2**31: their low four bytes hold them
     for t in range(min(nb, 4)):
         buf[t::nb] = raw[t::step]
@@ -159,24 +155,57 @@ def _kron_mul(p: int, a: list, b: list, w: int, k: int) -> list:
 
     ``a`` and ``b`` are row-major, ``w`` entries per row, and hold
     residues in ``[0, p)``; ``k >= 1`` bounds how many products meet in
-    one cell (the smaller nonzero count does).  Each operand becomes one
-    int with ``nb`` bytes per coefficient slot, the two ints are
-    multiplied once, and the product's slots are read back and reduced.
-    A slot sums at most ``k`` products below ``(p - 1)^2``, so ``nb``
-    bytes hold it without a carry into the next slot.  Rows are ``s``
-    slots apart, where ``s - w`` is the smaller of the operands' top
-    columns: the Y-exponents of a product stay below ``s``, so terms
-    beyond the box land in the gap between rows and are dropped.
+    one cell (the smaller nonzero count does).  Each operand's window,
+    from its first nonzero row (``ra`` for a) and column (``ca``) to the
+    last nonzero one that can reach the box, becomes one int with ``nb``
+    bytes per slot; the ints are multiplied once, and the product's slots
+    are read back, reduced and written from row ``ra + rb``, column ``ca +
+    cb``.  A slot sums at most ``k`` products below ``(p - 1)^2``, so
+    ``nb`` bytes hold it without a carry into the next slot.  Rows are
+    ``s`` slots apart, the two window widths' sum less 1: a product's
+    columns span fewer, so no term wraps into the next row.
     """
-    rows = len(a) // w
-    s = w + min(_top_column(a, w, w - 1), _top_column(b, w, w - 1))
-    count = s * (rows - 1) + w
+    size = len(a)
+    rows = size // w
+    out = [0] * size
+    # a zero operand's first row is ``rows``: the product starts past the box
+    ra, rb = (next(compress(range(size), c), size) // w for c in (a, b))
+    if ra + rb >= rows:
+        return out
+    windows = []
+    for c, r, other in ((a, ra, rb), (b, rb, ra)):
+        last = size - 1 - next(compress(range(size), reversed(c)))
+        c = c[r * w : min(rows - other, last // w + 1) * w]
+        windows.append((c, next(j for j in range(w) if any(c[j::w]))))
+    (x, ca), (y, cb) = windows
+    r0, c0 = ra + rb, ca + cb
+    if c0 >= w:
+        return out
+    wa = _top_column(x, w, w - 1 - cb) - ca + 1
+    wb = _top_column(y, w, w - 1 - ca) - cb + 1
+    s = wa + wb - 1
     nb = (2 * (p - 1).bit_length() + k.bit_length() + 7) // 8
-    x = _kron_pack(a, w, s, count, nb)
-    prod = x * x if b is a else x * _kron_pack(b, w, s, count, nb)
-    out = _kron_unpack(prod, nb, count, p)
-    if s > w:
-        out = list(chain.from_iterable([out[i : i + w] for i in range(0, count, s)]))
+    cw = min(s, w - c0)  # the product's columns inside the box
+    count = s * (min(rows - r0, (len(x) + len(y)) // w - 1) - 1) + cw
+    px = _kron_pack(_kron_window(x, w, ca, wa, s), nb)
+    prod = px * (px if b is a else _kron_pack(_kron_window(y, w, cb, wb, s), nb))
+    slots = _kron_unpack(prod, nb, count, p)
+    if cw == s == w:  # whole rows, nothing between them
+        out[r0 * w : r0 * w + count] = slots
+    else:
+        for i, t in zip(range(0, count, s), range(r0 * w + c0, size, w)):
+            out[t : t + cw] = slots[i : i + cw]
+    return out
+
+
+def _kron_window(c: list, w: int, first: int, width: int, s: int) -> list:
+    """Columns ``first`` to ``first + width - 1`` of each row of ``c``
+    (``w`` per row), laid ``s`` slots apart, as ``_kron_pack`` takes them."""
+    if width == w == s:
+        return c
+    out = [0] * (s * (len(c) // w - 1) + width)
+    for i, t in zip(range(0, len(out), s), range(first, len(c), w)):
+        out[i : i + width] = c[t : t + width]
     return out
 
 
@@ -205,18 +234,19 @@ def _kron_quotient(field, a: list, u: list, w: int) -> list:
     scale = 1 if row0 else inv0[0]
     nb = ((max(len(cells) + 1, w) * (p - 1) ** 2).bit_length() + 7) // 8
     cells = [(k, 8 * nb * l, (p - v) * scale % p) for k, l, v in cells]
-    packed_inv = _kron_pack(inv0, w, w, w, nb)
+    packed_inv = _kron_pack(inv0, nb)
     rows, out = [], []
-    for i in range(0, len(a), w):
-        acc = scale * _kron_pack(a[i : i + w], w, w, w, nb)
+    for i, t in enumerate(range(0, len(a), w)):  # i rows are done
+        row = a[t : t + w]
+        acc = scale * _kron_pack(row, nb) if any(row) else 0
         for k, shift, v in cells:
-            if k > len(rows):
+            if k > i:
                 break
             acc += v * (rows[-k] << shift)  # rows[-k] is row i - k
         g = _kron_unpack(acc, nb, w, p)
         if row0:
-            g = _kron_unpack(_kron_pack(g, w, w, w, nb) * packed_inv, nb, w, p)
-        rows.append(_kron_pack(g, w, w, w, nb))
+            g = _kron_unpack(_kron_pack(g, nb) * packed_inv, nb, w, p)
+        rows.append(_kron_pack(g, nb))
         out += g
     return out
 

@@ -253,9 +253,13 @@ def _extraction_vectors(field, terms, n_max: int):
     the sweep multiplies ``den * Ph`` in integers, den the lcm of their
     denominators, with ``den - den * dP/dY`` for D.  Term m needs the
     weight 1/den^(m+1): the sums take the int den^(m_top - m) instead and
-    are divided once, by den^(m_top + 1), at the end.
-    ``solve_series`` reports ``range(1, m_stop + 1)`` as the theorem's
-    ``m_terms_used``; char0, one quotient, reports ``()``.
+    are divided once, by den^(m_top + 1), at the end.  Dh's term (a, b)
+    reads the power's diagonal j = b + 1 - a, the cells (r, r - j), for the
+    cells (r + a, r + a - 1) of the product.  So each m adds each diagonal
+    that D reads once into its band, with that weight, and D's terms are
+    applied to the bands once, after the sweep.  ``solve_series`` reports
+    ``range(1, m_stop + 1)`` as the theorem's ``m_terms_used``; char0, one
+    quotient, reports ``()``.
     """
     sums = [0] * (n_max + 1)
     if n_max == 0:
@@ -269,33 +273,28 @@ def _extraction_vectors(field, terms, n_max: int):
     d = [(0, 0, den)] + [
         (i, k, c) for i, k, v in terms if k >= i and (c := norm((i - k - 1) * v))
     ]
-    # Dh's term (a, b) meets the cell (r, r + a - b - 1) of the power for
-    # the cell (k, k - 1), k = r + a <= n_max, of the product: in the power's
-    # flat row-major list (width n_max) one slice of stride n_max + 1
-    step = n_max + 1
-    reads = []
-    for a, b, c in d:
-        r0 = max(0, b + 1 - a)
-        reads.append((r0 * step + a - b - 1, (n_max - a) * step + a - b, r0 + a, c))
+    # j >= 1; in the power's flat row-major list (width n_max) the diagonal
+    # j is one slice of stride n_max + 1 from row j
+    bands = {b + 1 - a: [0] * (n_max + 1) for a, b, _ in d}
     factor = BiSeries.from_terms(field, terms, n_max, n_max - 1)
     cur = factor
     m_top = m_stop = 2 * n_max - 1
     for m in range(1, m_top + 1):
         w = den ** (m_top - m)  # 1/den^(m+1), times den^(m_top+1)
         flat = cur._c
-        acc = [0] * (n_max + 1)  # the term of m for each n, before weighting
-        for start, stop, k0, c in reads:
-            cells = flat[start:stop:step]
+        for j, band in bands.items():
+            cells = flat[j * n_max :: n_max + 1]
             # compress skips the power's zeros in C
-            for k, v in compress(enumerate(cells, k0), cells):
-                acc[k] += c * v
-        for n in compress(range(n_max + 1), acc):
-            sums[n] += w * acc[n]
+            for r, v in compress(enumerate(cells, j), cells):
+                band[r] += w * v
         if m < m_top:
             cur = cur * factor
             if cur.is_zero():
                 m_stop = m
                 break  # all later powers vanish on the box too
+    for a, b, c in d:  # applied to the bands once
+        for k in range(b + 1, n_max + 1):
+            sums[k] += c * bands[b + 1 - a][k - a]
     # over GF(p), den is 1 and norm reduces the sums
     return [norm(v) for v in _over(sums, den ** (m_top + 1))], m_stop
 

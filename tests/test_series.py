@@ -454,6 +454,29 @@ def _dense_below(rng, field, nx, ny, top):
     )
 
 
+def _window_series(rng, field, box, rows, cols):
+    """A random series on ``box``, nonzero exactly on the cells in the row
+    range ``rows`` and the column range ``cols``."""
+    p = field.characteristic
+    terms = [(i, j, rng.randrange(1, p)) for i in rows for j in cols]
+    return BiSeries.from_terms(field, terms, *box)
+
+
+@pytest.fixture
+def kron_packs(monkeypatch):
+    """The bit length of every int ``_kron_pack`` returns in the test."""
+    sizes = []
+    packer = series._kron_pack
+
+    def recorded(*args):
+        x = packer(*args)
+        sizes.append(x.bit_length())
+        return x
+
+    monkeypatch.setattr(series, "_kron_pack", recorded)
+    return sizes
+
+
 @pytest.fixture
 def kron_calls(monkeypatch):
     """The argument tuples of every ``_kron_mul`` call the test makes."""
@@ -465,7 +488,7 @@ def kron_calls(monkeypatch):
     return calls
 
 
-def test_kronecker_products_match_the_textbook_convolution(kron_calls):
+def test_kronecker_products_match_the_textbook_convolution(kron_calls, kron_packs):
     # products large enough for the Kronecker kernel, against the double loop
     rng = make_rng("kron-definition")
     primes = [f for f in FIELDS if f.characteristic] + [PrimeField(2**31 - 1)]
@@ -483,7 +506,7 @@ def test_kronecker_products_match_the_textbook_convolution(kron_calls):
             # x_order 0
             (_dense_below(rng, field, 0, 40, 40), _dense_below(rng, field, 0, 40, 40)),
             # non-square boxes, and top columns that differ: the rows are
-            # packed min(top) slots apart
+            # packed the two window widths less 1 slots apart
             (_dense_below(rng, field, 12, 20, 2), _dense_below(rng, field, 12, 20, 20)),
             (_dense_below(rng, field, 30, 5, 5), _dense_below(rng, field, 30, 5, 1)),
             (_dense_below(rng, field, 6, 30, 17), _dense_below(rng, field, 6, 30, 9)),
@@ -499,6 +522,66 @@ def test_kronecker_products_match_the_textbook_convolution(kron_calls):
         zero = [0] * len(worst._c)
         assert series._kron_mul(p, zero, worst._c, worst._w, 1) == zero
         assert series._kron_mul(p, worst._c, zero, worst._w, 1) == zero
+
+    # the kernel packs each operand's window of nonzero rows and columns:
+    # products of windows off the origin against the double loop
+    rng = make_rng("kron-windows")
+    box = (20, 19)
+    for field in (PrimeField(2), PrimeField(10007), PrimeField(2**31 - 1)):
+        shifted = _window_series(rng, field, box, range(3, 21), range(5, 20))
+        cases = [
+            # windows that start at row > 0 and column > 0, of other widths
+            (shifted, _window_series(rng, field, box, range(2, 15), range(4, 11))),
+            (_window_series(rng, field, box, range(0, 9), range(9, 20)), shifted),
+            # a one-column window
+            (_window_series(rng, field, box, range(0, 21), range(7, 8)), shifted),
+            (shifted, _window_series(rng, field, box, range(4, 21), range(0, 1))),
+        ]
+        for a, b in cases:
+            before = len(kron_calls)
+            assert a * b == _textbook_product(a, b)
+            assert len(kron_calls) == before + 1
+        # a * a on a shifted window squares one packed int
+        before, packs = len(kron_calls), len(kron_packs)
+        assert shifted * shifted == _textbook_product(shifted, shifted)
+        assert len(kron_calls) == before + 1 and len(kron_packs) == packs + 1
+        # products whose windows start past the box, in X or in Y: zero,
+        # with nothing packed or multiplied
+        low = _window_series(rng, field, box, range(11, 21), range(0, 20))
+        right = _window_series(rng, field, box, range(0, 21), range(10, 20))
+        zero = BiSeries.zero(field, *box)
+        for a, b in ((low, low), (right, right)):
+            before, packs = len(kron_calls), len(kron_packs)
+            assert a * b == zero == _textbook_product(a, b)
+            assert len(kron_calls) == before + 1 and len(kron_packs) == packs
+        # a UniSeries of valuation 5 times a dense one, and its square
+        p = field.characteristic
+        u = UniSeries(field, [0] * 5 + [rng.randrange(1, p) for _ in range(56)])
+        v = UniSeries(field, [rng.randrange(1, p) for _ in range(61)])
+        for a, b in ((u, v), (v, u), (u, u)):
+            before = len(kron_calls)
+            expected = _textbook_product(embed_x(a, 0), embed_x(b, 0)).column(0)
+            assert a * b == expected
+            assert len(kron_calls) == before + 1
+
+
+def test_kronecker_kernel_packs_only_the_windows(kron_calls, kron_packs):
+    # two series nonzero only in rows >= 8 and columns >= 8 of (20, 19):
+    # each window holds rows 8 to 12 and columns 8 to 11, the last that can
+    # reach the box against the other's 8, so each packed int holds at most
+    # 5 rows times the stride (the two window widths less 1) times nb bytes;
+    # the whole box would take 800 slots
+    field = PrimeField(10007)
+    rng = make_rng("kron-pack-window")
+    a, b = (
+        _window_series(rng, field, (20, 19), range(8, 21), range(8, 20)) for _ in range(2)
+    )
+    assert a * b == _textbook_product(a, b)
+    assert len(kron_calls) == 1 and len(kron_packs) == 2
+    k = 13 * 12  # nonzero terms per operand
+    nb = (2 * (10007 - 1).bit_length() + k.bit_length() + 7) // 8
+    rows, stride = 21 - 8 - 8, 4 + 4 - 1
+    assert all(bits <= 8 * rows * stride * nb for bits in kron_packs)
 
 
 def test_kronecker_kernel_runs_only_where_it_pays(kron_calls, monkeypatch):

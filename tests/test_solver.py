@@ -28,7 +28,7 @@ from implicitseries import (
     solve_series,
     taylor_residual,
 )
-from implicitseries import solver
+from implicitseries import series, solver
 from implicitseries.expressions import lower_expression, parse_expression
 from implicitseries.series import _Series
 from implicitseries.solver import _reaching_terms
@@ -939,6 +939,65 @@ def test_solve_series_m_range_shrinks_when_powers_vanish():
     report = solve_series(ImplicitProblem(p), 6, SolveMethod.THEOREM)
     assert report.solution._c == [0, 1, 0, 0, 0, 0, 0]
     assert report.m_terms_used == tuple(range(1, 7))
+
+
+def test_theorem_sweep_matches_newton_on_a_dense_p_over_a_wide_prime(monkeypatch):
+    # a dense degree-6 P over GF(2^31 - 1) at n = 24: all but the last few
+    # of the sweep's 46 products run in the Kronecker kernel on 9-byte
+    # slots, read back in two 64-bit lanes, and from m = n on each packs
+    # the corner its power fills
+    field = PrimeField(2**31 - 1)
+    rng = make_rng("sweep-dense-wide-prime")
+    terms = [
+        (i, j, rng.randrange(1, field.characteristic))
+        for i in range(7)
+        for j in range(7)
+        if (i, j) not in ((0, 0), (0, 1))
+    ]
+    prob = ImplicitProblem(BiSeries.from_terms(field, terms, 24, 24))
+    calls = []
+    kernel = series._kron_mul
+    monkeypatch.setattr(
+        series, "_kron_mul", lambda *args: calls.append(args) or kernel(*args)
+    )
+    theorem = solve_series(prob, 24, "theorem")
+    assert len(calls) >= 40
+    assert theorem.solution == solve_series(prob, 24, "fixpoint").solution
+    assert theorem.residual_zero and theorem.m_terms_used == tuple(range(1, 48))
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(7)])
+def test_theorem_sweep_with_many_terms_of_d_on_one_diagonal(field):
+    # D's term from X^i Y^j reads the power's diagonal j: four terms share
+    # the diagonal 2, and D's constant with two terms the diagonal 1, so each
+    # band is read once per m and serves several terms of D
+    text = "1/2*X + Y^2 + 2*X*Y^2 - 3/5*X^2*Y^2 + X^3*Y^2 + X*Y - 4*X^2*Y + Y^3"
+    n = 12
+    prob = ImplicitProblem(lower_expression(parse_expression(text, field), field, n, n))
+    on_two = [t for t in _reaching_terms(prob.p, n) if t[1] == 2]
+    assert len(on_two) == 4
+    theorem = solve_series(prob, n, "theorem")
+    assert theorem.residual_zero
+    assert theorem.solution == solve_series(prob, n, "fixpoint").solution
+    assert theorem.solution == linear_fixed_point(prob, n)
+
+
+def test_theorem_sums_when_the_sweep_stops_early():
+    # every term of P carries X, so Ph = P(ZY, Y) / Y carries Z and its
+    # powers vanish on the box (n, n - 1) from m = n + 1 on: the sweep stops
+    # at m = n, before 2n - 1, and its sums are still the oracle's
+    rng = make_rng("sweep-stops-early")
+    n = 8
+    for field in FIELDS:
+        for _ in range(3):
+            terms = [(1, 0, random_nonzero_value(rng, field))] + [
+                (rng.randint(1, 3), rng.randint(1, 4), random_value(rng, field))
+                for _ in range(4)
+            ]
+            prob = ImplicitProblem(BiSeries.from_terms(field, terms, n, n))
+            report = solve_series(prob, n, "theorem")
+            assert report.m_terms_used == tuple(range(1, n + 1))
+            assert theorem_sums(prob, n) == linear_fixed_point(prob, n)._c
 
 
 def test_solve_series_zero_problem():
