@@ -50,7 +50,6 @@ from .solver import (
     SolveReport,
     factor_out_root,
     furstenberg_solve,
-    solve_fixed_point,
     solve_series,
     taylor_residual,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "furstenberg_solve",
     "lower_expression",
     "parse_expression",
-    "solve_fixed_point",
     "solve_series",
     "taylor_residual",
 ]

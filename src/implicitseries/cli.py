@@ -163,14 +163,19 @@ def _implicit_problem(args):
     return field, ImplicitProblem(p)
 
 
+def _emit_report(args, label: str, field: Field, report) -> int:
+    """Print a ``solve_series`` report at ``--order``, under ``label``."""
+    coeffs = _texts(report.solution._c)
+    return _emit(
+        args, label, field, args.order, _coeff_lines(coeffs),
+        coeffs=coeffs, residual_zero=report.residual_zero,
+    )
+
+
 def cmd_solve(args) -> int:
     field, prob = _implicit_problem(args)
     report = solve_series(prob, args.order, SolveMethod(args.method))
-    coeffs = _texts(report.solution._c)
-    return _emit(
-        args, report.method.value, field, args.order, _coeff_lines(coeffs),
-        coeffs=coeffs, residual_zero=report.residual_zero,
-    )
+    return _emit_report(args, report.method.value, field, report)
 
 
 def cmd_lagrange(args) -> int:
@@ -196,11 +201,7 @@ def cmd_lagrange(args) -> int:
                 )
             method = SolveMethod.CHAR0
     report = solve_series(ImplicitProblem(p), n, method)
-    coeffs = _texts(report.solution._c)
-    return _emit(
-        args, f"lagrange-{args.variant}", field, n, _coeff_lines(coeffs),
-        coeffs=coeffs, residual_zero=report.residual_zero,
-    )
+    return _emit_report(args, f"lagrange-{args.variant}", field, report)
 
 
 def cmd_hasse(args) -> int:

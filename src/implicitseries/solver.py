@@ -5,7 +5,7 @@ coefficient, the equation has exactly one solution f with f(0) = 0, in
 any characteristic.  This module offers four independent routes to its
 coefficients plus the surrounding machinery:
 
-* ``fixpoint`` (``solve_fixed_point``): Newton iteration on
+* ``fixpoint`` (``_newton``): Newton iteration on
   f = P(X, f), doubling the known coefficients per step.  The linear
   substitution iteration f <- P(X, f), the ground truth all four
   methods are tested against, lives in the tests.
@@ -37,18 +37,19 @@ On P = X * phi(Y) the two sums are Lagrange inversion: theorem's is
 char0's is (1/n) [Y^(n-1)] phi^n.
 
 Over Q every method runs on integers, with one ``Fraction`` per
-coefficient of the answer.  ``fixpoint``, ``char0`` and ``furstenberg``
-solve for Eisenstein's integral P' = P(e^2 X, e Y) / e (``_eisenstein``),
-e the lcm of the terms' denominators, and read f_k = g_k / e^(2k-1) off
-its solution g (``_unscale``).  The theorem's sweep takes d * P, d the
-same lcm, weights its terms by integer powers of d and divides each sum
-once; and ``BiSeries.subst_y``, which the residual check calls on the
-original P, and ``factor_out_root`` run one Horner on integers.
+coefficient of the answer.  ``_solve``, the one dispatch to the four
+methods, makes Eisenstein's integral P' = P(e^2 X, e Y) / e, e the lcm of
+the terms' denominators, for ``fixpoint``, ``char0`` and ``furstenberg``,
+and reads f_k = g_k / e^(2k-1) off their solution g (``_unscale``).  The
+theorem's sweep takes d * P, d the same lcm, weights its terms by integer
+powers of d and divides each sum once; and ``BiSeries.subst_y``, which
+the residual check calls on the original P, and ``factor_out_root`` run
+one Horner on integers.
 
-``solve_series`` is the single entry point that runs any of them on an
-``ImplicitProblem`` and re-substitutes the result into its equation;
-``furstenberg_solve`` and ``factor_out_root`` also take a
-``RootProblem`` Q(X, f) = 0 directly.
+``solve_series`` runs any method on an ``ImplicitProblem`` and
+re-substitutes the result into its equation; ``furstenberg_solve`` and
+``factor_out_root`` take a ``RootProblem`` Q(X, f) = 0.  The first two
+go through ``_solve``.
 
 ``taylor_residual`` checks the finite Taylor-style expansion of P
 around a substituted series (with Hasse derivatives supplying the
@@ -165,16 +166,7 @@ def _reaching_terms(series: BiSeries, n_max: int) -> list:
     return [t for t in series.nonzero_terms() if t[0] + t[1] <= n_max]
 
 
-def solve_fixed_point(prob: ImplicitProblem, n_max: int) -> UniSeries:
-    """Solve f = P(X, f) by Newton iteration (``_newton``)."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if not prob.is_polynomial:
-        _require_box(prob.p, n_max, n_max)
-    return _newton(prob.field, _reaching_terms(prob.p, n_max), n_max)
-
-
-def _newton(field, terms, n_max: int) -> UniSeries:
+def _newton(field, terms, n_max: int) -> list:
     """fixpoint: Newton iteration, doubling the known coefficients per step.
 
     With f known through order k, one step
@@ -183,16 +175,15 @@ def _newton(field, terms, n_max: int) -> UniSeries:
     unit because ``P_Y(0, 0) = 0``, so the step holds in every
     characteristic.
 
-    P is ``terms`` on the box (n_max, top), top their highest Y-degree.
-    Over Q the loop solves g = P'(X, g) for Eisenstein's integral
-    ``P' = P(e^2 X, e Y) / e`` (``_eisenstein``): g and the divisor
-    ``1 - P'_Y(X, g)``, with constant term 1, are integral, so every
-    product and the quotient run on ints, and ``_unscale`` reads f.
+    P is ``terms`` on the box (n_max, top), top their highest Y-degree,
+    and the payloads of f are returned.  ``_solve`` hands over integral
+    terms over Q (Eisenstein's P'): the solution and the divisor, with
+    constant term 1, are then integral, so every product and the
+    quotient run on ints.
     """
-    e, terms = _eisenstein(terms)
     top = max([j for _, j, _ in terms], default=0)
     work = BiSeries.zero(field, n_max, top)
-    for i, j, c in terms:  # normalized payloads, as _eisenstein leaves them
+    for i, j, c in terms:  # normalized payloads, as _solve leaves them
         work._c[i * work._w + j] = c
     dwork = work.hasse_derivative(1) if top else None
     # f = 0 is right through order 0 and P_Y(0, 0) = 0, so the first
@@ -209,21 +200,7 @@ def _newton(field, terms, n_max: int) -> UniSeries:
             py = dwork.resized(k, top - 1).subst_y(f)
             r = r / (UniSeries._raw(field, [1] + [0] * k) - py)
         f = f + r
-    return _unscale(field, f._c, e)
-
-
-def _eisenstein(terms):
-    """``(e, terms')``: the nonzero terms ``(i, j, c)`` of P as those of
-    Eisenstein's integral ``P' = P(e^2 X, e Y) / e``.
-
-    Over Q, e is the lcm of the denominators, and c X^i Y^j becomes
-    (e c) e^(2i+j-2) X^i Y^j, an integer as 2i + j >= 2.  Without a
-    ``Fraction``, over GF(p) in particular, e = 1 and the terms pass
-    through."""
-    e, values = _integral([c for _, _, c in terms])
-    if e == 1:
-        return 1, terms
-    return e, [(i, j, v * e ** (2 * i + j - 2)) for (i, j, _), v in zip(terms, values)]
+    return f._c
 
 
 def _unscale(field, g: list, e: int, over_k: bool = False) -> UniSeries:
@@ -257,26 +234,21 @@ def _extraction_vectors(field, terms, n_max: int):
     reads the power's diagonal j = b + 1 - a, the cells (r, r - j), for the
     cells (r + a, r + a - 1) of the product.  So each m adds each diagonal
     that D reads once into its band, with that weight, and D's terms are
-    applied to the bands once, after the sweep.  ``solve_series`` reports
-    ``range(1, m_stop + 1)`` as the theorem's ``m_terms_used``; char0, one
-    quotient, reports ``()``.
+    applied to the bands once, after the sweep; Dh comes from
+    ``_frame_d`` with ``one = den``.  ``solve_series`` reports
+    ``range(1, m_stop + 1)`` as the theorem's ``m_terms_used``.
     """
     sums = [0] * (n_max + 1)
     if n_max == 0:
         return sums, 0
     # X^i Y^j becomes the cell (i, i + j - 1) of den * Ph
     den, values = _integral([c for _, _, c in terms])
-    terms = [(i, i + j - 1, v) for (i, j, _), v in zip(terms, values)]
-    norm = field.normalize
-    # X^i Y^j of den * P gives -j v X^i Y^(j-1) of D, so Dh has -j v at the
-    # cell (i, k) of Ph, j = k - i + 1; no two terms share a cell
-    d = [(0, 0, den)] + [
-        (i, k, c) for i, k, v in terms if k >= i and (c := norm((i - k - 1) * v))
-    ]
+    cells = [(i, i + j - 1, v) for (i, j, _), v in zip(terms, values)]
+    d = _frame_d(field, cells, den)
     # j >= 1; in the power's flat row-major list (width n_max) the diagonal
     # j is one slice of stride n_max + 1 from row j
     bands = {b + 1 - a: [0] * (n_max + 1) for a, b, _ in d}
-    factor = BiSeries.from_terms(field, terms, n_max, n_max - 1)
+    factor = BiSeries.from_terms(field, cells, n_max, n_max - 1)
     cur = factor
     m_top = m_stop = 2 * n_max - 1
     for m in range(1, m_top + 1):
@@ -295,34 +267,70 @@ def _extraction_vectors(field, terms, n_max: int):
     for a, b, c in d:  # applied to the bands once
         for k in range(b + 1, n_max + 1):
             sums[k] += c * bands[b + 1 - a][k - a]
-    # over GF(p), den is 1 and norm reduces the sums
-    return [norm(v) for v in _over(sums, den ** (m_top + 1))], m_stop
+    # over GF(p), den is 1 and normalize reduces the sums
+    return list(map(field.normalize, _over(sums, den ** (m_top + 1)))), m_stop
 
 
-def _diagonal_quotient(field, terms, n_max: int, char0: bool) -> UniSeries:
-    """char0 and furstenberg: one exact quotient by ``U = 1 - Ph'``.
+def _frame_d(field, cells, one) -> list:
+    """The nonzero terms ``(i, k, c)`` of ``one * Dh``, Dh = D(ZY, Y), from
+    the cells ``(i, i + j - 1, v)`` of ``one * Ph``: X^i Y^j of P gives
+    -j X^i Y^(j-1) of D = 1 - dP/dY, on the same cell (i, k) of the frame,
+    j = k - i + 1.  No two terms share a cell; over GF(p) j v = 0 drops."""
+    norm = field.normalize
+    return [(0, 0, one)] + [
+        (i, k, c) for i, k, v in cells if k >= i and (c := norm((i - k - 1) * v))
+    ]
 
-    ``terms`` are P's nonzero ``(i, j, c)`` with i + j <= n_max.  Each
-    becomes a term of ``P' = P(e^2 X, e Y) / e``
-    (``_eisenstein``), then the cell (i, i + j - 1) of Ph' = P'(ZY, Y) / Y.
-    The solution g of g = P'(X, g) is g_n = [Z^n Y^(n-1)] N / U, read off
-    the diagonal of the box (n_max, n_max - 1), and ``_unscale`` turns it
-    into f.  furstenberg's numerator N is ``Dh' = 1 - P'_Y(ZY, Y)``.
-    char0 sums ``Ph'^m / m``, which is ``-log(U)``: its N is ``Z Ph'_Z``,
-    and its g_n carries a factor n.
+
+def _diagonal_quotient(field, terms, n_max: int, char0: bool) -> list:
+    """char0 and furstenberg: one exact quotient by ``U = 1 - Ph``.
+
+    ``terms`` are P's nonzero ``(i, j, c)`` with i + j <= n_max, integral
+    over Q (``_solve`` hands over Eisenstein's P').  Each becomes the cell
+    (i, i + j - 1) of Ph = P(ZY, Y) / Y, and the payloads of f are
+    returned: f_n = [Z^n Y^(n-1)] N / U, read off the diagonal of the box
+    (n_max, n_max - 1).  furstenberg's numerator N is ``Dh`` (``_frame_d``).
+    char0 sums ``Ph^m / m``, which is ``-log(U)``: its N is ``Z Ph_Z``,
+    and its f_n carries a factor n.
     """
     if n_max == 0:
-        return UniSeries.zero(field, 0)
-    e, terms = _eisenstein(terms)
-    unit = [(0, 0, 1)] + [(i, i + j - 1, -c) for i, j, c in terms]
+        return [0]
+    cells = [(i, i + j - 1, c) for i, j, c in terms]
+    unit = [(0, 0, 1)] + [(i, k, -c) for i, k, c in cells]
     if char0:
-        numer = [(i, i + j - 1, i * c) for i, j, c in terms if i]
+        numer = [(i, k, i * c) for i, k, c in cells if i]
     else:
-        numer = [(0, 0, 1)] + [(i, i + j - 1, -j * c) for i, j, c in terms if j]
+        numer = _frame_d(field, cells, 1)
     box = (n_max, n_max - 1)
     g = BiSeries.from_terms(field, numer, *box) / BiSeries.from_terms(field, unit, *box)
     # Z^k Y^(k-1) sits at flat index k * n_max + k - 1
-    return _unscale(field, [0] + g._c[n_max :: n_max + 1], e, char0)
+    return [0] + g._c[n_max :: n_max + 1]
+
+
+def _solve(field, terms, n_max: int, method: SolveMethod):
+    """``(f, m_stop)``: f through order ``n_max`` by ``method`` from P's
+    nonzero terms ``(i, j, c)`` with i + j <= n_max, and the largest m the
+    theorem's sweep accumulated (0 for the other methods).
+
+    The theorem sweeps over P's own terms.  fixpoint, char0 and furstenberg
+    solve g = P'(X, g) for Eisenstein's integral ``P' = P(e^2 X, e Y) / e``:
+    over Q, e is the lcm of the denominators, and c X^i Y^j becomes
+    (e c) e^(2i+j-2) X^i Y^j, an integer as 2i + j >= 2.  Without a
+    ``Fraction``, over GF(p) in particular, e = 1 and the terms pass
+    through.  ``_unscale`` then reads f off g.
+    """
+    if method is SolveMethod.THEOREM:
+        sums, m_stop = _extraction_vectors(field, terms, n_max)
+        return UniSeries._raw(field, sums), m_stop
+    e, values = _integral([c for _, _, c in terms])
+    if e > 1:
+        terms = [(i, j, v * e ** (2 * i + j - 2)) for (i, j, _), v in zip(terms, values)]
+    char0 = method is SolveMethod.CHAR0
+    if method is SolveMethod.FIXED_POINT:
+        g = _newton(field, terms, n_max)
+    else:
+        g = _diagonal_quotient(field, terms, n_max, char0)
+    return _unscale(field, g, e, char0), 0
 
 
 def taylor_residual(p: BiSeries, f: UniSeries) -> BiSeries:
@@ -383,9 +391,9 @@ def furstenberg_solve(rp: RootProblem, n_max: int) -> UniSeries:
     The root of Q is the fixed point of ``P = Y - Q / q01``, made with one
     inverse and one pass over Q's nonzero terms.  In the frame X = Z*Y,
     [X^k] f is then [Z^k Y^(k-1)] of ``Dh / (1 - Ph)``, one exact quotient
-    on the box (n_max, n_max - 1), over Q in Eisenstein's integral frame
-    (``_diagonal_quotient``).  Requires q on a box of at least
-    (n_max, n_max).
+    on the box (n_max, n_max - 1) (``_diagonal_quotient``), which
+    ``_solve`` runs over Q in Eisenstein's integral frame, as it does for
+    ``solve_series``.  Requires q on a box of at least (n_max, n_max).
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -395,7 +403,7 @@ def furstenberg_solve(rp: RootProblem, n_max: int) -> UniSeries:
     r = field.invert(q._c[1])  # q01 sits at flat index 1
     terms = _reaching_terms(q, n_max)
     terms = [(i, j, norm(-c * r)) for i, j, c in terms if (i, j) != (0, 1)]
-    return _diagonal_quotient(field, terms, n_max, False)
+    return _solve(field, terms, n_max, SolveMethod.FURSTENBERG)[0]
 
 
 def _implicit_residual_zero(prob: ImplicitProblem, f: UniSeries) -> bool:
@@ -422,18 +430,9 @@ def solve_series(prob: ImplicitProblem, n_max: int, method) -> SolveReport:
     if not prob.is_polynomial:  # only terms with i + j <= n_max reach f
         _require_box(prob.p, n_max, n_max)
 
-    char0 = method is SolveMethod.CHAR0
-    if char0 and prob.field.characteristic:
+    if method is SolveMethod.CHAR0 and prob.field.characteristic:
         raise PositiveCharacteristicError("the char0 method needs characteristic zero")
 
-    field, terms = prob.field, _reaching_terms(prob.p, n_max)
-    m_terms = ()
-    if method is SolveMethod.FIXED_POINT:
-        f = _newton(field, terms, n_max)
-    elif method is SolveMethod.THEOREM:
-        sums, m_stop = _extraction_vectors(field, terms, n_max)
-        f = UniSeries._raw(field, sums)
-        m_terms = tuple(range(1, m_stop + 1))
-    else:
-        f = _diagonal_quotient(field, terms, n_max, char0)
+    f, m_stop = _solve(prob.field, _reaching_terms(prob.p, n_max), n_max, method)
+    m_terms = tuple(range(1, m_stop + 1))  # () but for the theorem
     return SolveReport(method, f, _implicit_residual_zero(prob, f), m_terms)

@@ -21,7 +21,6 @@ from implicitseries import (
     UniSeries,
     factor_out_root,
     furstenberg_solve,
-    solve_fixed_point,
     solve_series,
     taylor_residual,
 )
@@ -89,7 +88,7 @@ def cross_method_fuzz():
             nonzero_tail_entries += tail_term_count(prob, n_max)
             vectors = {
                 "theorem": theorem_sums(prob, n_max),
-                "fixpoint": solve_fixed_point(prob, n_max)._c,
+                "fixpoint": solve_series(prob, n_max, "fixpoint").solution._c,
                 "furstenberg": solve_series(
                     prob, n_max, SolveMethod.FURSTENBERG
                 ).solution._c,

@@ -24,7 +24,6 @@ from implicitseries import (
     ZeroLinearYTermError,
     factor_out_root,
     furstenberg_solve,
-    solve_fixed_point,
     solve_series,
     taylor_residual,
 )
@@ -87,33 +86,33 @@ def test_root_problem_validation():
 # ---------------------------------------------------- fixed point by Newton
 
 def test_fixed_point_catalan():
-    f = solve_fixed_point(catalan_problem(Q, 6), 6)
+    f = solve_series(catalan_problem(Q, 6), 6, "fixpoint").solution
     assert f._c == [0, 1, 1, 2, 5, 14, 42]
-    f20 = solve_fixed_point(catalan_problem(Q, 20), 20)
+    f20 = solve_series(catalan_problem(Q, 20), 20, "fixpoint").solution
     assert f20._c == [0] + [catalan(n) for n in range(1, 21)]
 
 
 def test_fixed_point_geometric():
     # f = X + X f  has the geometric series as its solution
     p = BiSeries.from_terms(Q, [(1, 0, 1), (1, 1, 1)], 8, 8)
-    assert solve_fixed_point(ImplicitProblem(p), 8)._c == [0] + [1] * 8
+    assert solve_series(ImplicitProblem(p), 8, "fixpoint").solution._c == [0] + [1] * 8
 
 
 def test_fixed_point_frobenius_gf2():
-    f = solve_fixed_point(catalan_problem(F2, 16), 16)
+    f = solve_series(catalan_problem(F2, 16), 16, "fixpoint").solution
     assert f._c == [1 if n and n & (n - 1) == 0 else 0 for n in range(17)]
 
 
 def test_fixed_point_truncated_input_needs_box():
     p = BiSeries.from_terms(Q, [(1, 0, 1), (0, 2, 1)], 4, 4)
     prob = ImplicitProblem(p, is_polynomial=False)
-    assert solve_fixed_point(prob, 4)._c == [0, 1, 1, 2, 5]
+    assert solve_series(prob, 4, "fixpoint").solution._c == [0, 1, 1, 2, 5]
     with pytest.raises(InsufficientTruncationError):
-        solve_fixed_point(prob, 5)
+        solve_series(prob, 5, "fixpoint").solution
     # the same data declared polynomial extends freely
-    assert solve_fixed_point(ImplicitProblem(p), 5)._c == [0, 1, 1, 2, 5, 14]
+    assert solve_series(ImplicitProblem(p), 5, "fixpoint").solution._c == [0, 1, 1, 2, 5, 14]
     with pytest.raises(ValueError, match="^n_max must be >= 0$"):
-        solve_fixed_point(prob, -1)
+        solve_series(prob, -1, "fixpoint").solution
 
 
 def newton_problem(rng, field, n_max, y_degree):
@@ -141,7 +140,8 @@ def test_newton_matches_the_linear_iteration():
         for n_max in (0, 1, 2, 3, 6, 17, 40):
             for y_degree in (0, 1, 2, 3, 6):
                 prob = ImplicitProblem(newton_problem(rng, field, n_max, y_degree))
-                assert solve_fixed_point(prob, n_max) == linear_fixed_point(prob, n_max)
+                f = solve_series(prob, n_max, "fixpoint").solution
+                assert f == linear_fixed_point(prob, n_max)
         # truncated input known exactly on the (n_max, n_max) box
         for n_max in (0, 1, 2, 5, 9):
             terms = [
@@ -152,9 +152,10 @@ def test_newton_matches_the_linear_iteration():
             ]
             p = BiSeries.from_terms(field, terms, n_max, n_max)
             prob = ImplicitProblem(p, is_polynomial=False)
-            assert solve_fixed_point(prob, n_max) == linear_fixed_point(prob, n_max)
+            f = solve_series(prob, n_max, "fixpoint").solution
+            assert f == linear_fixed_point(prob, n_max)
             with pytest.raises(InsufficientTruncationError):
-                solve_fixed_point(prob, n_max + 1)
+                solve_series(prob, n_max + 1, "fixpoint").solution
 
 
 # ------------------------------------------------------ coefficient extraction
@@ -390,6 +391,64 @@ def test_fixpoint_over_q_multiplies_only_ints(monkeypatch):
         assert not any(type(c) is Fraction for c in itertools.chain(*values)), name
 
 
+def test_eisenstein_frame_is_applied_once_per_solve(monkeypatch):
+    # fixpoint, char0 and furstenberg get P(e^2 X, e Y) / e on ints from the
+    # one dispatch, whichever door the call comes through, and f comes back
+    # through exactly one _unscale by that e; the theorem sweeps d * P and
+    # reaches neither body nor _unscale
+    handed, scales = [], []
+
+    def recording(body):
+        def record(field, terms, *args):
+            handed.append((body.__name__, [c for _, _, c in terms]))
+            return body(field, terms, *args)
+
+        return record
+
+    unscale = solver._unscale
+
+    def unscaled(field, g, e, *args):
+        scales.append(e)
+        return unscale(field, g, e, *args)
+
+    for name in ("_newton", "_diagonal_quotient"):
+        monkeypatch.setattr(solver, name, recording(getattr(solver, name)))
+    monkeypatch.setattr(solver, "_unscale", unscaled)
+    bodies = {
+        "fixpoint": "_newton",
+        "char0": "_diagonal_quotient",
+        "furstenberg": "_diagonal_quotient",
+        "theorem": None,
+    }
+    cases = [(p, n, den) for p, n, den in _fractional_problems() if den > 1]
+    assert cases
+    for p, n, den in cases:
+        oracle = linear_fixed_point(ImplicitProblem(p), n)
+        for method, body in bodies.items():
+            handed.clear()
+            scales.clear()
+            report = solve_series(ImplicitProblem(p), n, method)
+            assert report.solution == oracle and report.residual_zero, (p, method)
+            if body is None:
+                assert handed == [] and scales == [], p
+                continue
+            assert [name for name, _ in handed] == [body], (p, method)
+            assert all(type(c) is int for c in handed[0][1]), (p, method)
+            assert scales == [den], (p, method)
+    # furstenberg_solve reduces Q to P = Y - Q / (3/5) = 5/3 X + 5/6 Y^2
+    # - 10/21 X Y: e = 42 once all three terms reach order n
+    text = "(3/5)*Y - X - (1/2)*Y^2 + (2/7)*X*Y"
+    for n, e in ((0, 1), (1, 3), (2, 42), (12, 42), (48, 42)):
+        q = lower_expression(parse_expression(text, Q), Q, n, max(n, 1))
+        handed.clear()
+        scales.clear()
+        f = furstenberg_solve(RootProblem(q), n)
+        assert [name for name, _ in handed] == ["_diagonal_quotient"]
+        assert all(type(c) is int for c in handed[0][1])
+        assert scales == [e]
+        factor_out_root(RootProblem(q), f)  # raises unless Q(X, f) = 0
+
+
 @pytest.mark.parametrize(
     "text, n",
     [
@@ -415,7 +474,7 @@ def test_fixpoint_frame_is_the_lowered_substitution(monkeypatch, text, n):
         return subst_y(self, f)
 
     monkeypatch.setattr(BiSeries, "subst_y", record)
-    f = solve_fixed_point(ImplicitProblem(p), n)
+    f = solve_series(ImplicitProblem(p), n, "fixpoint").solution
     monkeypatch.undo()
     work = next(s for s in seen if s.x_order == n)  # P' comes before P'_Y
     kept = [(i, j, c) for i, j, c in p.nonzero_terms() if i + j <= n]
@@ -538,6 +597,33 @@ def test_frame_identity_term_by_term():
                 power, power_h = power * px, power_h * ph
 
 
+def test_frame_d_matches_the_hasse_derivative():
+    # _frame_d against an independent build of Dh = D(ZY, Y): take
+    # D = 1 - P_Y as 1 minus the first Hasse derivative and put its term
+    # X^i Y^j' on the cell (i, i + j'), keeping the terms that reach order
+    # n (i + j' + 1 <= n); over GF(p) a term with j * c = 0 is absent on
+    # both sides
+    rng = make_rng("frame-d")
+    dropped = 0
+    for field in FIELDS:
+        for _ in range(30):
+            n = rng.randint(1, 9)
+            p = random_implicit_poly(
+                rng, field, n, n, max_degree=6, n_terms=rng.randint(1, 8)
+            )
+            one = BiSeries.from_terms(field, [(0, 0, 1)], n, n - 1)
+            d = one - p.hasse_derivative(1)  # on (n, n - 1)
+            want = [(i, i + j, c) for i, j, c in d.nonzero_terms() if i + j < n]
+            cells = [(i, i + j - 1, c) for i, j, c in _reaching_terms(p, n)]
+            got = solver._frame_d(field, cells, 1)
+            assert repr(sorted(got)) == repr(sorted(want)), (field.tag, p, n)
+            if field.characteristic:  # j = k - i + 1 >= 1
+                dropped += sum(
+                    (k - i + 1) % field.characteristic == 0 for i, k, _ in cells if k >= i
+                )
+    assert dropped  # some terms vanish as j * c = 0 over GF(p)
+
+
 def _random_text(rng, field):
     """A random P as text: a few monomials c * X^i * Y^j, fractions over Q."""
     monomials = []
@@ -584,7 +670,7 @@ def test_taylor_residual_trivial_telescope():
 
 def test_taylor_residual_catalan():
     p = BiSeries.from_terms(Q, [(1, 0, 1), (0, 2, 1)], 6, 6)
-    f = solve_fixed_point(catalan_problem(Q, 6), 6)
+    f = solve_series(catalan_problem(Q, 6), 6, "fixpoint").solution
     assert taylor_residual(p, f).is_zero()
 
 
@@ -917,7 +1003,7 @@ def test_products_over_q_store_integral_rationals_as_ints():
     halves = BiSeries.from_terms(Q, [(i, 0, half) for i in range(4)], 3, 1)
     assert halves.pow(2).coeff(3, 0) == 1
     p = BiSeries.from_terms(Q, [(1, 0, half), (1, 1, half), (0, 2, half)], 6, 6)
-    f = solve_fixed_point(ImplicitProblem(p), 6)
+    f = solve_series(ImplicitProblem(p), 6, "fixpoint").solution
     y = BiSeries.from_terms(Q, [(0, 1, 1)], 6, 6)
     root = furstenberg_solve(RootProblem(p - y), 6)
     assert root == f
