@@ -92,10 +92,11 @@ def _check_cells(x_order: int, y_order: int) -> None:
         raise BoxTooLargeError(message)
 
 
-def _top_column(c: list, w: int, top: int) -> int:
+def _top_column(c: list, w: int, top: int, rows=None) -> int:
     """The highest column ``j <= top`` of the row-major list ``c``, ``w``
-    entries per row, with a nonzero entry; 0 when there is none."""
-    while top and not any(c[top::w]):
+    entries per row, with a nonzero entry, among its first ``rows - j``
+    rows when ``rows`` is given; 0 when there is none."""
+    while top and not any(c[top : None if rows is None else (rows - top) * w : w]):
         top -= 1
     return top
 
@@ -678,10 +679,8 @@ class BiSeries(_Series):
         i <= x_order - j.  That is exact: the columns above it add only to
         orders above x_order.
         """
-        c, w, nx = self._c, self._w, self.x_order
-        top = min(self.y_order, nx)
-        while top and not any(c[top : (nx - top + 1) * w : w]):
-            top -= 1
+        nx = self.x_order
+        top = _top_column(self._c, self._w, min(self.y_order, nx), nx + 1)
         for ints, den in self._horner(f, top):
             pass  # hold one partial sum at a time
         return UniSeries._raw(self.field, _over(ints, den))

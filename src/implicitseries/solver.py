@@ -6,9 +6,10 @@ any characteristic.  This module offers four independent routes to its
 coefficients plus the surrounding machinery:
 
 * ``fixpoint`` (``_newton``): Newton iteration on
-  f = P(X, f), doubling the known coefficients per step.  The linear
-  substitution iteration f <- P(X, f), the ground truth all four
-  methods are tested against, lives in the tests.
+  f = P(X, f), doubling the known coefficients per step by dividing
+  by D(X, f), D = 1 - dP/dY.  The linear substitution iteration
+  f <- P(X, f), the ground truth all four methods are tested against,
+  lives in the tests.
 * ``theorem``: [X^n] f as a finite sum over m of the coefficient of
   X^n Y^(m-1) in D * P^m, D = 1 - dP/dY, for m up to 2n - 1.  Works over
   any field.
@@ -28,6 +29,8 @@ too, where X^i f^j starts at order i + j.  Every method reads just
 those (``_reaching_terms``).  ``theorem`` expands the sum term by term,
 one product per m; ``char0`` and ``furstenberg`` divide by the unit
 1 - Ph once, with the numerators Z Ph_Z and Dh (``_diagonal_quotient``).
+D's terms come from P's in one place, ``_d_terms``, for the theorem's
+sweep, furstenberg's numerator and Newton's divisor.
 So ``verify`` still pits an expansion against two quotients.  The
 residual check that ``solve_series`` makes substitutes P's first n + 1
 rows whole: ``subst_y`` itself skips the columns that cannot reach order n.
@@ -169,23 +172,21 @@ def _reaching_terms(series: BiSeries, n_max: int) -> list:
 def _newton(field, terms, n_max: int) -> list:
     """fixpoint: Newton iteration, doubling the known coefficients per step.
 
-    With f known through order k, one step
-    ``f <- f + (P(X, f) - f) / (1 - P_Y(X, f))`` on order 2k + 1 makes
-    it right through 2k + 1 (Brent & Kung 1978).  The divisor is a
-    unit because ``P_Y(0, 0) = 0``, so the step holds in every
+    With f known through order k, one step ``f <- f + r / D(X, f)``, with
+    ``r = P(X, f) - f`` and ``D = 1 - dP/dY`` (``_d_terms``), on order
+    2k + 1 makes it right through 2k + 1 (Brent & Kung 1978).  The divisor
+    is a unit because ``P_Y(0, 0) = 0``, so the step holds in every
     characteristic.
 
-    P is ``terms`` on the box (n_max, top), top their highest Y-degree,
-    and the payloads of f are returned.  ``_solve`` hands over integral
-    terms over Q (Eisenstein's P'): the solution and the divisor, with
-    constant term 1, are then integral, so every product and the
-    quotient run on ints.
+    P is ``terms`` on the box (n_max, top), top their highest Y-degree, D
+    is on (n_max, max(top - 1, 0)), and the payloads of f are returned.
+    ``_solve`` hands over integral terms over Q (Eisenstein's P'): the
+    solution and D(X, f), with constant term 1, are then integral, so
+    every product and the quotient run on ints.
     """
     top = max([j for _, j, _ in terms], default=0)
-    work = BiSeries.zero(field, n_max, top)
-    for i, j, c in terms:  # normalized payloads, as _solve leaves them
-        work._c[i * work._w + j] = c
-    dwork = work.hasse_derivative(1) if top else None
+    work = BiSeries.from_terms(field, terms, n_max, top)
+    d = BiSeries.from_terms(field, _d_terms(field, terms, 1), n_max, max(top - 1, 0))
     # f = 0 is right through order 0 and P_Y(0, 0) = 0, so the first
     # step gives f = P(X, 0) through order 1 (at n_max = 0, f = 0)
     f = work.column(0).resized(min(n_max, 1))
@@ -194,12 +195,8 @@ def _newton(field, terms, n_max: int) -> list:
         k = min(2 * k + 1, n_max)
         f = f.resized(k)
         r = work.resized(k, top).subst_y(f) - f
-        if r.is_zero():
-            continue  # f is already right through order k
-        if dwork is not None:
-            py = dwork.resized(k, top - 1).subst_y(f)
-            r = r / (UniSeries._raw(field, [1] + [0] * k) - py)
-        f = f + r
+        if not r.is_zero():  # else f is already right through order k
+            f = f + r / d.resized(k, d.y_order).subst_y(f)
     return f._c
 
 
@@ -230,24 +227,26 @@ def _extraction_vectors(field, terms, n_max: int):
     the sweep multiplies ``den * Ph`` in integers, den the lcm of their
     denominators, with ``den - den * dP/dY`` for D.  Term m needs the
     weight 1/den^(m+1): the sums take the int den^(m_top - m) instead and
-    are divided once, by den^(m_top + 1), at the end.  Dh's term (a, b)
-    reads the power's diagonal j = b + 1 - a, the cells (r, r - j), for the
-    cells (r + a, r + a - 1) of the product.  So each m adds each diagonal
-    that D reads once into its band, with that weight, and D's terms are
-    applied to the bands once, after the sweep; Dh comes from
-    ``_frame_d`` with ``one = den``.  ``solve_series`` reports
-    ``range(1, m_stop + 1)`` as the theorem's ``m_terms_used``.
+    are divided once, by den^(m_top + 1), at the end.  D's term (i, j),
+    from ``_d_terms`` with ``one = den``, is the cell (i, i + j) of Dh: it
+    reads the power's diagonal j + 1, the cells (r, r - j - 1), for the
+    cells (r + i, r + i - 1) of the product.  So each m adds each diagonal
+    that D reads once into its band, keyed by j + 1, with that weight, and
+    D's terms are applied to the bands once, after the sweep.
+    ``solve_series`` reports ``range(1, m_stop + 1)`` as the theorem's
+    ``m_terms_used``.
     """
     sums = [0] * (n_max + 1)
     if n_max == 0:
         return sums, 0
-    # X^i Y^j becomes the cell (i, i + j - 1) of den * Ph
     den, values = _integral([c for _, _, c in terms])
-    cells = [(i, i + j - 1, v) for (i, j, _), v in zip(terms, values)]
-    d = _frame_d(field, cells, den)
-    # j >= 1; in the power's flat row-major list (width n_max) the diagonal
-    # j is one slice of stride n_max + 1 from row j
-    bands = {b + 1 - a: [0] * (n_max + 1) for a, b, _ in d}
+    terms = [(i, j, v) for (i, j, _), v in zip(terms, values)]  # den * P
+    d = _d_terms(field, terms, den)
+    # in the power's flat row-major list (width n_max) the diagonal j >= 1
+    # is one slice of stride n_max + 1 from row j
+    bands = {j + 1: [0] * (n_max + 1) for _, j, _ in d}
+    # X^i Y^j becomes the cell (i, i + j - 1) of den * Ph
+    cells = [(i, i + j - 1, v) for i, j, v in terms]
     factor = BiSeries.from_terms(field, cells, n_max, n_max - 1)
     cur = factor
     m_top = m_stop = 2 * n_max - 1
@@ -264,22 +263,19 @@ def _extraction_vectors(field, terms, n_max: int):
             if cur.is_zero():
                 m_stop = m
                 break  # all later powers vanish on the box too
-    for a, b, c in d:  # applied to the bands once
-        for k in range(b + 1, n_max + 1):
-            sums[k] += c * bands[b + 1 - a][k - a]
+    for i, j, c in d:  # applied to the bands once
+        for k in range(i + j + 1, n_max + 1):
+            sums[k] += c * bands[j + 1][k - i]
     # over GF(p), den is 1 and normalize reduces the sums
     return list(map(field.normalize, _over(sums, den ** (m_top + 1)))), m_stop
 
 
-def _frame_d(field, cells, one) -> list:
-    """The nonzero terms ``(i, k, c)`` of ``one * Dh``, Dh = D(ZY, Y), from
-    the cells ``(i, i + j - 1, v)`` of ``one * Ph``: X^i Y^j of P gives
-    -j X^i Y^(j-1) of D = 1 - dP/dY, on the same cell (i, k) of the frame,
-    j = k - i + 1.  No two terms share a cell; over GF(p) j v = 0 drops."""
+def _d_terms(field, terms, one) -> list:
+    """The nonzero terms of ``one * D``, D = 1 - dP/dY, from P's terms
+    ``(i, j, v)``: ``(0, 0, one)`` and ``(i, j - 1, -j v)`` for each; over
+    GF(p) those with j v = 0 drop."""
     norm = field.normalize
-    return [(0, 0, one)] + [
-        (i, k, c) for i, k, v in cells if k >= i and (c := norm((i - k - 1) * v))
-    ]
+    return [(0, 0, one)] + [(i, j - 1, c) for i, j, v in terms if (c := norm(-j * v))]
 
 
 def _diagonal_quotient(field, terms, n_max: int, char0: bool) -> list:
@@ -289,7 +285,8 @@ def _diagonal_quotient(field, terms, n_max: int, char0: bool) -> list:
     over Q (``_solve`` hands over Eisenstein's P').  Each becomes the cell
     (i, i + j - 1) of Ph = P(ZY, Y) / Y, and the payloads of f are
     returned: f_n = [Z^n Y^(n-1)] N / U, read off the diagonal of the box
-    (n_max, n_max - 1).  furstenberg's numerator N is ``Dh`` (``_frame_d``).
+    (n_max, n_max - 1).  furstenberg's numerator N is ``Dh = D(ZY, Y)``:
+    D's term (i, j) from ``_d_terms`` on the cell (i, i + j).
     char0 sums ``Ph^m / m``, which is ``-log(U)``: its N is ``Z Ph_Z``,
     and its f_n carries a factor n.
     """
@@ -300,7 +297,7 @@ def _diagonal_quotient(field, terms, n_max: int, char0: bool) -> list:
     if char0:
         numer = [(i, k, i * c) for i, k, c in cells if i]
     else:
-        numer = _frame_d(field, cells, 1)
+        numer = [(i, i + j, c) for i, j, c in _d_terms(field, terms, 1)]
     box = (n_max, n_max - 1)
     g = BiSeries.from_terms(field, numer, *box) / BiSeries.from_terms(field, unit, *box)
     # Z^k Y^(k-1) sits at flat index k * n_max + k - 1

@@ -565,6 +565,40 @@ def test_kronecker_products_match_the_textbook_convolution(kron_calls, kron_pack
             assert len(kron_calls) == before + 1
 
 
+def test_kronecker_products_at_ten_byte_slots(monkeypatch):
+    # over GF(2^31 - 1), a slot sums up to k products below 2^62, so k >=
+    # 1024 terms in the smaller operand need 10-byte slots: a * a of order
+    # 1100 with every coefficient p - 1, each sum at its bound, against the
+    # double loop
+    p = 2**31 - 1
+    a = UniSeries(PrimeField(p), [p - 1] * 1101)
+    widths = []
+    unpack = series._kron_unpack
+    monkeypatch.setattr(
+        series, "_kron_unpack", lambda x, nb, *args: widths.append(nb) or unpack(x, nb, *args)
+    )
+    got = (a * a)._c
+    assert widths == [10]
+    c = a._c
+    assert got == [sum(c[i] * c[k - i] for i in range(k + 1)) % p for k in range(1101)]
+
+
+@pytest.mark.parametrize("nb", [5, 8, 9, 10])
+def test_kronecker_unpack_round_trip(nb):
+    # slots near 2^(8 nb) - 1, and across the two 8-byte lanes, read back
+    # mod p; a slot above ``count`` is ignored, and slots past the int's
+    # last byte read as zero
+    p = 2**31 - 1
+    top = 2 ** (8 * nb) - 1
+    slots = [top - t for t in range(5)] + [0, 1, p, top >> 8, top >> 1]
+    if nb > 8:
+        slots += [2**64 - 1, 2**64, 2**64 + p]
+    x = sum(v << (8 * nb * t) for t, v in enumerate(slots))
+    want = [v % p for v in slots]
+    assert series._kron_unpack(x + (top << (8 * nb * len(slots))), nb, len(slots), p) == want
+    assert series._kron_unpack(x, nb, len(slots) + 2, p) == want + [0, 0]
+
+
 def test_kronecker_kernel_packs_only_the_windows(kron_calls, kron_packs):
     # two series nonzero only in rows >= 8 and columns >= 8 of (20, 19):
     # each window holds rows 8 to 12 and columns 8 to 11, the last that can

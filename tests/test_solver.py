@@ -597,29 +597,31 @@ def test_frame_identity_term_by_term():
                 power, power_h = power * px, power_h * ph
 
 
-def test_frame_d_matches_the_hasse_derivative():
-    # _frame_d against an independent build of Dh = D(ZY, Y): take
-    # D = 1 - P_Y as 1 minus the first Hasse derivative and put its term
-    # X^i Y^j' on the cell (i, i + j'), keeping the terms that reach order
-    # n (i + j' + 1 <= n); over GF(p) a term with j * c = 0 is absent on
-    # both sides
-    rng = make_rng("frame-d")
+def test_d_terms_match_the_hasse_derivative():
+    # _d_terms against an independent build of D = 1 - dP/dY, one minus the
+    # first Hasse derivative, term by term in X/Y coordinates; the same
+    # seeded P, with denominators 1 and 13, over every field, where over
+    # GF(p) a term with j * c = 0 is absent on both sides
+    rng = make_rng("d-terms")
+    polys = []
+    for _ in range(30):
+        n, terms = rng.randint(1, 9), []
+        for _ in range(rng.randint(1, 8)):
+            i, j = rng.randint(0, 6), rng.randint(0, 6)
+            i += (i, j) in ((0, 0), (0, 1))  # P(0, 0) and [Y] P(0, Y) vanish
+            terms.append((i, j, Fraction(rng.randint(-9, 9), rng.choice([1, 13]))))
+        polys.append((n, terms))
     dropped = 0
     for field in FIELDS:
-        for _ in range(30):
-            n = rng.randint(1, 9)
-            p = random_implicit_poly(
-                rng, field, n, n, max_degree=6, n_terms=rng.randint(1, 8)
-            )
+        for n, terms in polys:
+            p = BiSeries.from_terms(field, terms, n, n)
             one = BiSeries.from_terms(field, [(0, 0, 1)], n, n - 1)
-            d = one - p.hasse_derivative(1)  # on (n, n - 1)
-            want = [(i, i + j, c) for i, j, c in d.nonzero_terms() if i + j < n]
-            cells = [(i, i + j - 1, c) for i, j, c in _reaching_terms(p, n)]
-            got = solver._frame_d(field, cells, 1)
-            assert repr(sorted(got)) == repr(sorted(want)), (field.tag, p, n)
-            if field.characteristic:  # j = k - i + 1 >= 1
+            want = (one - p.hasse_derivative(1)).nonzero_terms()
+            got = solver._d_terms(field, p.nonzero_terms(), 1)
+            assert repr(got) == repr(want), (field.tag, p)
+            if field.characteristic:
                 dropped += sum(
-                    (k - i + 1) % field.characteristic == 0 for i, k, _ in cells if k >= i
+                    j % field.characteristic == 0 for _, j, _ in p.nonzero_terms() if j
                 )
     assert dropped  # some terms vanish as j * c = 0 over GF(p)
 
@@ -949,8 +951,36 @@ def test_char0_and_furstenberg_share_the_integral_unit(monkeypatch, text, n):
 
 # ---------------------------------------------------------------- solve_series
 
+def test_fixpoint_divides_by_d_without_a_hasse_derivative(monkeypatch):
+    # Newton's divisor D(X, f) comes from D's terms (_d_terms), not from a
+    # Hasse derivative of P's box: with hasse_derivative refused, fixpoint
+    # matches the linear iteration with a zero residual on a P with no Y
+    # term (top = 0), on a P with only even Y-powers (D = 1 over GF(2)) and
+    # on seeded dense P
+    def refuse(self, m):
+        raise AssertionError("fixpoint takes a Hasse derivative")
+
+    monkeypatch.setattr(BiSeries, "hasse_derivative", refuse)
+    rng = make_rng("newton-no-hasse")
+    n = 24
+    for field in FIELDS:
+        problems = [
+            BiSeries.from_terms(field, [(1, 0, 1), (2, 0, 2), (7, 0, -3)], n, 0),
+            BiSeries.from_terms(field, [(1, 0, 1), (0, 2, 1), (1, 4, 1), (3, 6, 1)], n, 6),
+        ]
+        problems += [
+            random_implicit_poly(rng, field, n, 6, max_degree=6, n_terms=16)
+            for _ in range(3)
+        ]
+        for p in problems:
+            prob = ImplicitProblem(p)
+            report = solve_series(prob, n, "fixpoint")
+            assert report.solution == linear_fixed_point(prob, n), (field.tag, p)
+            assert report.residual_zero
+
+
 def test_fixpoint_solve_substitutes_twice_per_newton_step(monkeypatch):
-    # P and P_Y at orders 3, 7, 15 and 16, then the one residual check
+    # P and D = 1 - P_Y at orders 3, 7, 15 and 16, then the one residual check
     calls = []
     subst_y = BiSeries.subst_y
 
